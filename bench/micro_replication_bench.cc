@@ -19,10 +19,8 @@
 
 #include "engine/checkpointer.h"
 #include "engine/database.h"
-#include "replication/chaos_link.h"
 #include "replication/primary.h"
 #include "replication/propagator.h"
-#include "replication/reliable_channel.h"
 #include "replication/secondary.h"
 #include "replication/tcp_replication.h"
 #include "simmodel/model.h"
@@ -71,12 +69,9 @@ void BM_RefreshCatchup(benchmark::State& state) {
   // freshness lag (primary latest commit ts minus seq(DBsec), in timestamp
   // units) sampled during catch-up.
   //
-  // Args: direct {0 = legacy, 1 = direct}, applicator threads {1, 2, 4},
-  // frame loss percent {0 = in-process handoff, 1 = ReliableChannel over a
-  // lossy ChaosLink}.
+  // Args: direct {0 = legacy, 1 = direct}, applicator threads {1, 2, 4}.
   const bool direct = state.range(0) != 0;
   const auto applicators = static_cast<std::size_t>(state.range(1));
-  const double loss = static_cast<double>(state.range(2)) / 100.0;
 
   engine::Database primary_db(
       engine::DatabaseOptions{lazysi::kPrimarySiteId, "primary", false});
@@ -110,22 +105,8 @@ void BM_RefreshCatchup(benchmark::State& state) {
                                replication::SecondaryOptions{applicators,
                                                              direct});
     replication::Propagator prop(primary_db.log());
-    std::unique_ptr<replication::ChaosLink> link;
-    std::unique_ptr<replication::ReliableChannel> reliable;
     sec.Start();
-    if (loss > 0.0) {
-      replication::FaultProfile faults;
-      faults.drop_probability = loss;
-      link = std::make_unique<replication::ChaosLink>(faults, 42);
-      replication::ReliableChannel::Options opts;
-      opts.backoff_initial = std::chrono::milliseconds(1);
-      opts.backoff_max = std::chrono::milliseconds(16);
-      reliable = std::make_unique<replication::ReliableChannel>(
-          &prop, link.get(), sec.update_queue(), opts);
-      reliable->Start();
-    } else {
-      prop.AttachSink(sec.update_queue());
-    }
+    prop.AttachSink(sec.update_queue());
     std::atomic<bool> sampling{true};
     std::vector<double> iter_lags;
     std::thread sampler([&] {
@@ -145,7 +126,6 @@ void BM_RefreshCatchup(benchmark::State& state) {
     sampling.store(false, std::memory_order_release);
     sampler.join();
     prop.Stop();
-    if (reliable) reliable->Stop();
     sec.Stop();
     if (!ok) {
       timed_out = true;
@@ -167,8 +147,8 @@ void BM_RefreshCatchup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RefreshCatchup)
-    ->ArgNames({"direct", "applicators", "loss_pct"})
-    ->ArgsProduct({{0, 1}, {1, 2, 4}, {0, 1}})
+    ->ArgNames({"direct", "applicators"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4}})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -359,63 +339,15 @@ BENCHMARK(BM_ReadRoutingFreshVsBlind)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_ChaosTransportThroughput(benchmark::State& state) {
-  // Primary-commit -> secondary-applied throughput when every record crosses
-  // the ReliableChannel-over-ChaosLink path (encode + CRC + ack machinery on
-  // the hot path) at 0% / 1% / 5% frame loss. Arg is loss in percent; the
-  // 0% row isolates the cost of the reliability layer itself, the lossy rows
-  // add retransmission.
-  SystemConfig config;
-  config.num_secondaries = 1;
-  config.guarantee = Guarantee::kWeakSI;
-  config.transport_faults.drop_probability =
-      static_cast<double>(state.range(0)) / 100.0;
-  // Make the profile non-trivially "any()" even at 0% loss so the chaos
-  // path is exercised: corrupt nothing, drop per the arg, but keep the
-  // link + channel in the pipeline.
-  config.transport_faults.duplicate_probability = 0.0;
-  config.transport_faults.corrupt_probability = 0.0;
-  config.transport_faults.disconnect_probability = 0.0;
-  if (!config.transport_faults.any()) {
-    // 0% row: an all-zero profile would bypass the transport; keep it on
-    // the wire with a fault rate too small to ever fire in practice.
-    config.transport_faults.drop_probability = 1e-12;
-  }
-  config.transport_backoff_initial = std::chrono::milliseconds(1);
-  config.transport_backoff_max = std::chrono::milliseconds(16);
-  ReplicatedSystem sys(config);
-  sys.Start();
-  auto client = sys.ConnectTo(0);
-  std::uint64_t i = 0;
-  constexpr int kBatch = 256;
-  for (auto _ : state) {
-    for (int n = 0; n < kBatch; ++n) {
-      (void)client->ExecuteUpdate([&](SystemTransaction& t) {
-        return t.Put("key" + std::to_string(i % 1024), std::to_string(i));
-      });
-      ++i;
-    }
-    benchmark::DoNotOptimize(sys.WaitForReplication());
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-  sys.Stop();
-}
-BENCHMARK(BM_ChaosTransportThroughput)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(5)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_TcpPropagation(benchmark::State& state) {
   // Primary-commit -> secondary-applied throughput over the reactor-based
   // cross-process stream (ReplicationListener -> loopback TCP ->
   // ReplicationReceiver): the wire the multi-process deployment actually
-  // runs. Args are {secondaries, max_batch_records}; batch 0 disables
-  // coalescing (one DATA frame + flush per record, the PR 8 wire shape).
-  // The counters read the listener's own syscall accounting across the
-  // timed region: syscalls_per_record is flush syscalls per record streamed
-  // (the headline reactor win — batching must cut it >= 4x at the default
-  // knobs), bytes_per_record the framing + encoding overhead per record.
+  // runs. Args are {secondaries, max_batch_records}. The counters read the
+  // listener's own syscall accounting across the timed region:
+  // syscalls_per_record is flush syscalls per record streamed (the headline
+  // reactor win), bytes_per_record the framing + encoding overhead per
+  // record.
   // Both are gated lower-is-better by compare_bench_json.py.
   const auto n_secondaries = static_cast<std::size_t>(state.range(0));
   const auto batch_records = static_cast<std::size_t>(state.range(1));
@@ -423,8 +355,7 @@ void BM_TcpPropagation(benchmark::State& state) {
   engine::Database primary_db;
   replication::Primary primary(&primary_db);
   replication::ReplicationListener::Options lo;
-  lo.batching = batch_records > 0;
-  if (batch_records > 0) lo.max_batch_records = batch_records;
+  lo.max_batch_records = batch_records;
   replication::ReplicationListener listener(primary.propagator(), lo);
   if (!listener.Start().ok()) {
     state.SkipWithError("listener failed to start");
@@ -492,9 +423,7 @@ void BM_TcpPropagation(benchmark::State& state) {
 }
 BENCHMARK(BM_TcpPropagation)
     ->ArgNames({"secondaries", "batch"})
-    ->Args({1, 0})
     ->Args({1, 128})
-    ->Args({2, 0})
     ->Args({2, 128})
     ->Args({4, 128})
     ->Unit(benchmark::kMillisecond);

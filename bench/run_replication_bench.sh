@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Runs the replication micro-benchmarks (the direct-vs-legacy RefreshCatchup
-# matrix, the end-to-end pipeline, session round trips, and the chaos
-# transport rows) and emits machine-readable results.
+# matrix, the end-to-end pipeline, session round trips, and the TCP
+# propagation rows) and emits machine-readable results.
 #
 # Usage: bench/run_replication_bench.sh [path/to/micro_replication_bench] [output.json]
 # Environment: BENCH_MIN_TIME (seconds per benchmark, default 0.2 — pass a

@@ -51,11 +51,11 @@ for stage in $STAGES; do
       ctest --test-dir build -R system_proc_test --output-on-failure \
         --timeout 120
       # Fan-out soak: 16 secondary processes against one primary with the
-      # reactor wire (batching on). The primary must serve the whole fleet
-      # from its fixed thread pool — the soak fails if its kernel thread
+      # reactor wire. The primary must serve the whole fleet from its fixed
+      # thread pool — the soak fails if its kernel thread
       # count exceeds the O(1) budget (reactor + workers + runtime threads),
       # i.e. if anything regresses to a thread per connection.
-      SOAK_SECONDS=3 MAX_PRIMARY_THREADS=10 BATCHING=1 \
+      SOAK_SECONDS=3 MAX_PRIMARY_THREADS=10 \
         scripts/run_cluster.sh 16 build/src/server/lazysi_server
       ;;
     crash)

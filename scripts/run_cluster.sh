@@ -14,8 +14,8 @@
 #
 #   DATA_DIR=/var/tmp/lazysi scripts/run_cluster.sh 2
 #
-# Wire knobs: BATCHING (0|1), MAX_BATCH_RECORDS, BATCH_FLUSH_MS and WORKERS
-# are forwarded to the primary so a soak can exercise either wire shape.
+# Wire knobs: MAX_BATCH_RECORDS, BATCH_FLUSH_MS and WORKERS are forwarded
+# to the primary.
 #
 # Soak mode: set SOAK_SECONDS to run the cluster for that long and then shut
 # down cleanly instead of waiting for Ctrl-C. The soak samples the primary's
@@ -76,7 +76,6 @@ if [[ -n "$DATA_DIR" ]]; then
   PRIMARY_ARGS+=(--data-dir="$DATA_DIR" --fsync-mode="$FSYNC_MODE"
                  --checkpoint-interval-ms="$CHECKPOINT_INTERVAL_MS")
 fi
-[[ -n "${BATCHING:-}" ]] && PRIMARY_ARGS+=(--batching="$BATCHING")
 [[ -n "${MAX_BATCH_RECORDS:-}" ]] && PRIMARY_ARGS+=(--max-batch-records="$MAX_BATCH_RECORDS")
 [[ -n "${BATCH_FLUSH_MS:-}" ]] && PRIMARY_ARGS+=(--batch-flush-ms="$BATCH_FLUSH_MS")
 [[ -n "${WORKERS:-}" ]] && PRIMARY_ARGS+=(--workers="$WORKERS")

@@ -9,10 +9,9 @@
 namespace lazysi {
 
 /// Exponential backoff between retries, clamped to [initial, max]. The
-/// reliable replication channel uses this for its retransmission timer:
-/// each unacknowledged retransmission round doubles the wait, and an
-/// acknowledged round resets it, so a lossy-but-alive link retries quickly
-/// while a dead link backs off instead of flooding.
+/// replication receiver uses this for its redial timer: each failed dial
+/// doubles the wait, and a completed handshake resets it, so a flaky but
+/// alive primary is redialed quickly while a dead one is not flooded.
 class ExponentialBackoff {
  public:
   ExponentialBackoff(std::chrono::milliseconds initial,

@@ -8,11 +8,11 @@
 
 namespace lazysi {
 
-/// CRC-32C (Castagnoli polynomial, reflected form). Used to checksum wire
-/// frames on the fault-injected transport path: the paper assumes messages
-/// are never corrupted in transit (Section 3.2), so the reliable channel has
-/// to detect corruption itself before the FIFO contract can be re-derived
-/// from an unreliable link.
+/// CRC-32C (Castagnoli polynomial, reflected form). Used to checksum WAL
+/// records and replication-stream frames: the paper assumes messages are
+/// never corrupted in transit (Section 3.2), so the stream has to detect
+/// corruption itself before the FIFO contract can be re-derived from an
+/// unreliable network.
 namespace crc32_internal {
 
 constexpr std::uint32_t kPolynomial = 0x82f63b78u;

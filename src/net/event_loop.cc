@@ -64,7 +64,11 @@ void EventLoop::RunInLoop(Task task) {
 
 void EventLoop::PostAndWait(Task task) {
   assert(!InLoop() && "PostAndWait from the loop thread would deadlock");
-  if (!running()) {
+  // Not !running(): a started loop whose thread has not been scheduled yet
+  // still runs every posted task, and running the barrier inline then
+  // would return before the tasks queued ahead of it.
+  if (!started_.load(std::memory_order_acquire) ||
+      stop_.load(std::memory_order_acquire)) {
     task();
     return;
   }

@@ -69,8 +69,8 @@ class EventLoop {
   void RunInLoop(Task task);
 
   /// Post + block until the task has executed (teardown barrier). Must not
-  /// be called from the loop thread. If the loop is not running, runs the
-  /// task on the caller's thread.
+  /// be called from the loop thread. If the loop was never started or has
+  /// been stopped, runs the task on the caller's thread.
   void PostAndWait(Task task);
 
   /// Schedules `task` to run on the loop thread after ~`delay` (quantized

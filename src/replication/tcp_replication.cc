@@ -7,11 +7,27 @@
 #include <cerrno>
 #include <utility>
 
+#include "common/crc32.h"
 #include "common/logging.h"
 #include "replication/wire.h"
 
 namespace lazysi {
 namespace replication {
+
+void SealReplFrame(std::string* frame) {
+  AppendCrc32(frame, Crc32c(*frame));
+}
+
+bool UnsealReplFrame(std::string* frame) {
+  if (frame->size() < 4) return false;
+  const std::size_t body = frame->size() - 4;
+  if (Crc32c(std::string_view(*frame).substr(0, body)) !=
+      ReadCrc32(*frame, body)) {
+    return false;
+  }
+  frame->resize(body);
+  return true;
+}
 
 std::string EncodeBatchFramePayload(
     const std::vector<PropagationRecord>& records) {
@@ -47,6 +63,9 @@ ReplicationListener::ReplicationListener(Propagator* propagator,
     : propagator_(propagator), options_(std::move(options)) {
   if (options_.max_batch_records == 0) options_.max_batch_records = 1;
   if (options_.max_batch_bytes == 0) options_.max_batch_bytes = 1;
+  if (options_.faults.any()) {
+    shim_ = std::make_unique<FaultShim>(options_.faults, options_.fault_seed);
+  }
   if (options_.loop != nullptr) {
     loop_ = options_.loop;
   } else {
@@ -58,12 +77,12 @@ ReplicationListener::ReplicationListener(Propagator* propagator,
 ReplicationListener::~ReplicationListener() { Stop(); }
 
 Status ReplicationListener::Start() {
-  listen_fd_ = ListenOn(options_.host, options_.port, &port_);
+  listen_fd_ = net::ListenOn(options_.host, options_.port, &port_);
   if (listen_fd_ < 0) {
     return Status::Unavailable("replication listener: cannot bind " +
                                options_.host);
   }
-  SetNonBlocking(listen_fd_);
+  net::SetNonBlocking(listen_fd_);
   attach_q_.Reopen();
   attach_worker_ = std::thread([this] {
     while (auto task = attach_q_.Pop()) (*task)();
@@ -129,10 +148,11 @@ ReplicationListener::Stats ReplicationListener::stats() const {
       connections_accepted_.load(std::memory_order_relaxed);
   s.records_streamed = records_streamed_.load(std::memory_order_relaxed);
   s.replay_attaches = replay_attaches_.load(std::memory_order_relaxed);
+  s.attach_refusals = attach_refusals_.load(std::memory_order_relaxed);
   s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-  s.batch_frames_sent = batch_frames_sent_.load(std::memory_order_relaxed);
   s.backpressure_stalls =
       backpressure_stalls_.load(std::memory_order_relaxed);
+  if (shim_) s.faults = shim_->counters();
   s.bytes_sent = retired_bytes_sent_.load(std::memory_order_relaxed);
   s.writev_calls = retired_writev_calls_.load(std::memory_order_relaxed);
   s.flushes = retired_flushes_.load(std::memory_order_relaxed);
@@ -158,13 +178,9 @@ void ReplicationListener::OnAcceptable() {
       ::close(fd);
       return;
     }
-    SetTcpNoDelay(fd);
+    net::SetTcpNoDelay(fd);
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_shared<Conn>();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(conn);
-    }
     std::weak_ptr<Conn> weak = conn;
     net::Connection::Options copts;
     copts.low_watermark = std::max<std::size_t>(1, options_.max_output_bytes / 2);
@@ -185,6 +201,10 @@ void ReplicationListener::OnAcceptable() {
     // The propagator wakes the pump through the sink's hook — no parked
     // consumer thread per connection.
     conn->sink.SetWakeup([this, weak] { SchedulePump(weak); });
+    // Published only once `nc` is set: stats() reads it off-loop. No
+    // callback can run before this, since they all run on this thread.
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conns_.push_back(conn);
   }
 }
 
@@ -207,15 +227,19 @@ void ReplicationListener::OnConnBytes(const std::shared_ptr<Conn>& conn,
     return;
   }
   while (auto frame = conn->framer.Next()) {
-    HandleFrame(conn, *frame);
+    HandleFrame(conn, std::move(*frame));
     if (conn->done.load(std::memory_order_acquire)) return;
   }
   if (conn->framer.poisoned()) conn->nc->Close();
 }
 
 void ReplicationListener::HandleFrame(const std::shared_ptr<Conn>& conn,
-                                      const std::string& frame) {
-  if (frame.empty()) return;
+                                      std::string frame) {
+  if (!UnsealReplFrame(&frame) || frame.empty()) {
+    LAZYSI_WARN("replication listener: damaged frame, dropping connection");
+    conn->nc->Close();
+    return;
+  }
   if (!conn->hello_done) {
     if (frame[0] != kReplHelloTag) {
       conn->nc->Close();  // wrong protocol; drop silently
@@ -238,7 +262,7 @@ void ReplicationListener::HandleFrame(const std::shared_ptr<Conn>& conn,
     });
     return;
   }
-  if (frame[0] != kReplAckTag || frame.size() < 2) return;
+  if (frame[0] != kReplAckTag) return;
   std::size_t off = 1;
   std::uint64_t acked = 0;
   if (GetVarint(frame, &off, &acked)) {
@@ -257,49 +281,58 @@ void ReplicationListener::HandleAttach(const std::shared_ptr<Conn>& conn,
   if (expected > 0) {
     attach_lsn = propagator_->SyncPointAtOrBefore(expected).lsn;
   }
-  auto base = propagator_->AttachSinkAt(&conn->sink, attach_lsn);
+  auto base =
+      propagator_->AttachSinkAt(&conn->sink, attach_lsn, options_.filter);
   if (!base.ok()) {
+    attach_refusals_.fetch_add(1, std::memory_order_relaxed);
     LAZYSI_WARN("replication listener: attach at lsn " << attach_lsn
                 << " failed: " << base.status());
     conn->nc->Close();
     return;
   }
+  replay_attaches_.fetch_add(1, std::memory_order_relaxed);
+  conn->resume_seq = expected;
+  // WELCOME is queued before the pump may run, so no BATCH overtakes it.
+  std::string welcome(1, kReplWelcomeTag);
+  PutVarint(&welcome, *base);
+  WriteFrame(conn.get(), std::move(welcome));
   conn->attached.store(true, std::memory_order_release);
   if (conn->done.load(std::memory_order_acquire)) {
-    // Lost a race with the close handler, whose detach may have been a
-    // no-op; undo the attach ourselves.
+    // Lost a race with the close handler (or the fault shim cut the
+    // connection), whose detach may have been a no-op; undo the attach
+    // ourselves.
     propagator_->DetachSink(&conn->sink);
     return;
   }
-  replay_attaches_.fetch_add(1, std::memory_order_relaxed);
-  std::string welcome(1, kReplWelcomeTag);
-  PutVarint(&welcome, *base);
-  std::string wire;
-  AppendTcpFrame(&wire, welcome);
-  conn->nc->Write(std::move(wire));
   // The replay burst is already sitting in the sink; pump it.
   std::weak_ptr<Conn> weak = conn;
   SchedulePump(weak);
 }
 
-void ReplicationListener::WriteFrame(Conn* conn, std::string_view payload) {
+bool ReplicationListener::WriteFrame(Conn* conn, std::string payload) {
+  SealReplFrame(&payload);
+  const int copies = shim_ ? shim_->Apply(&payload) : 1;
+  if (copies == 0) {
+    conn->nc->Close();
+    return false;
+  }
   std::string wire;
-  wire.reserve(payload.size() + 4);
-  AppendTcpFrame(&wire, payload);
+  wire.reserve(copies * (payload.size() + 4));
+  for (int i = 0; i < copies; ++i) net::AppendTcpFrame(&wire, payload);
   conn->nc->Write(std::move(wire));
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
-void ReplicationListener::EmitBatch(Conn* conn) {
-  if (conn->pending_n == 0) return;
+bool ReplicationListener::EmitBatch(Conn* conn) {
+  if (conn->pending_n == 0) return true;
   std::string payload(1, kReplBatchTag);
   PutVarint(&payload, conn->pending_n);
   payload.append(conn->pending_body);
-  WriteFrame(conn, payload);
-  batch_frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  frames_sent_.fetch_add(1, std::memory_order_relaxed);
   records_streamed_.fetch_add(conn->pending_n, std::memory_order_relaxed);
   conn->pending_body.clear();
   conn->pending_n = 0;
+  return WriteFrame(conn, std::move(payload));
 }
 
 void ReplicationListener::PumpConn(const std::shared_ptr<Conn>& conn) {
@@ -317,24 +350,19 @@ void ReplicationListener::PumpConn(const std::shared_ptr<Conn>& conn) {
       }
       return;
     }
-    if (!options_.batching) {
-      auto record = conn->sink.TryPop();
-      if (!record.has_value()) break;
-      std::string payload(1, kReplDataTag);
-      EncodeRecord(*record, &payload);
-      WriteFrame(conn.get(), payload);
-      records_streamed_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
     auto batch =
         conn->sink.TryPopBatch(options_.max_batch_records - conn->pending_n);
     if (batch.empty()) break;
     for (auto& record : batch) {
+      // Under a cut storm the overlap could be longer than the stream
+      // survives between cuts; skipping it keeps every resync progressing.
+      if (RecordSeq(record) < conn->resume_seq) continue;
       EncodeRecord(record, &conn->pending_body);
       ++conn->pending_n;
-      if (conn->pending_n >= options_.max_batch_records ||
-          conn->pending_body.size() >= options_.max_batch_bytes) {
-        EmitBatch(conn.get());
+      if ((conn->pending_n >= options_.max_batch_records ||
+           conn->pending_body.size() >= options_.max_batch_bytes) &&
+          !EmitBatch(conn.get())) {
+        return;
       }
     }
   }
@@ -410,18 +438,18 @@ ReplicationReceiver::ReplicationReceiver(
                    : options_.reconnect_backoff),
       rng_(options_.jitter_seed) {
   if (options_.ack_interval == 0) options_.ack_interval = 1;
-  if (options_.loop != nullptr) {
-    loop_ = options_.loop;
-  } else {
-    owned_loop_ = std::make_unique<net::EventLoop>();
-    loop_ = owned_loop_.get();
-  }
+  loop_ = options_.loop;
 }
 
 ReplicationReceiver::~ReplicationReceiver() { Stop(); }
 
 void ReplicationReceiver::Start() {
-  if (owned_loop_) owned_loop_->Start();
+  stopping_.store(false, std::memory_order_release);
+  if (options_.loop == nullptr) {
+    owned_loop_ = std::make_unique<net::EventLoop>();
+    loop_ = owned_loop_.get();
+    owned_loop_->Start();
+  }
   started_ = true;
   loop_->RunInLoop([this] { StartDial(); });
 }
@@ -442,6 +470,7 @@ void ReplicationReceiver::Stop() {
     if (current_) current_->Close();
   });
   if (owned_loop_) owned_loop_->Stop();
+  started_ = false;
 }
 
 void ReplicationReceiver::CutConnection() {
@@ -462,11 +491,10 @@ ReplicationReceiver::Stats ReplicationReceiver::stats() const {
   s.records_delivered = records_delivered_.load(std::memory_order_relaxed);
   s.duplicates_dropped = duplicates_dropped_.load(std::memory_order_relaxed);
   s.decode_rejected = decode_rejected_.load(std::memory_order_relaxed);
+  s.crc_rejected = crc_rejected_.load(std::memory_order_relaxed);
   s.reconnects = reconnects_.load(std::memory_order_relaxed);
   s.dial_attempts = dial_attempts_.load(std::memory_order_relaxed);
   s.frames_received = frames_received_.load(std::memory_order_relaxed);
-  s.batch_frames_received =
-      batch_frames_received_.load(std::memory_order_relaxed);
   s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
   return s;
 }
@@ -475,8 +503,8 @@ void ReplicationReceiver::StartDial() {
   if (stopping_.load(std::memory_order_acquire)) return;
   dial_attempts_.fetch_add(1, std::memory_order_relaxed);
   bool in_progress = false;
-  const int fd =
-      StartDialTcp(options_.primary_host, options_.primary_port, &in_progress);
+  const int fd = net::StartDialTcp(options_.primary_host,
+                                   options_.primary_port, &in_progress);
   if (fd < 0) {
     ScheduleRedial();
     return;
@@ -491,7 +519,7 @@ void ReplicationReceiver::StartDial() {
     if (epoch != conn_epoch_ || pending_fd_ != fd) return;
     loop_->RemoveFd(fd);
     pending_fd_ = -1;
-    OnDialDone(fd, FinishDial(fd));
+    OnDialDone(fd, net::FinishDial(fd));
   });
 }
 
@@ -505,7 +533,7 @@ void ReplicationReceiver::OnDialDone(int fd, bool ok) {
     ScheduleRedial();
     return;
   }
-  framer_ = TcpFramer();
+  framer_ = net::TcpFramer();
   handshaken_ = false;
   since_ack_ = 0;
   net::Connection::Callbacks cbs;
@@ -518,8 +546,16 @@ void ReplicationReceiver::OnDialDone(int fd, bool ok) {
   std::string hello(1, kReplHelloTag);
   PutVarint(&hello, next_expected_.load(std::memory_order_acquire));
   PutVarint(&hello, options_.from_lsn);
+  WriteFrame(std::move(hello));
+}
+
+void ReplicationReceiver::WriteFrame(std::string payload) {
+  // A write that failed inline may already have torn the connection down
+  // (current_ reset by OnClosed); the reconnect handshake covers the loss.
+  if (!current_) return;
+  SealReplFrame(&payload);
   std::string wire;
-  AppendTcpFrame(&wire, hello);
+  net::AppendTcpFrame(&wire, payload);
   current_->Write(std::move(wire));
 }
 
@@ -530,67 +566,70 @@ void ReplicationReceiver::OnBytes(std::string_view bytes) {
     return;
   }
   while (auto frame = framer_.Next()) {
-    HandleFrame(*frame);
+    HandleFrame(std::move(*frame));
     if (!current_ || current_->closed()) return;
   }
   if (framer_.poisoned() && current_) current_->Close();
 }
 
-void ReplicationReceiver::HandleFrame(const std::string& frame) {
+void ReplicationReceiver::HandleFrame(std::string frame) {
+  if (!UnsealReplFrame(&frame)) {
+    // Corrupted in flight: nothing in it can be trusted, including the
+    // frame boundary after it. Drop the connection; the re-HELLO replays a
+    // clean suffix.
+    crc_rejected_.fetch_add(1, std::memory_order_relaxed);
+    LAZYSI_WARN("replication receiver: frame failed its CRC, resyncing");
+    current_->Close();
+    return;
+  }
   if (frame.empty()) return;
-  frames_received_.fetch_add(1, std::memory_order_relaxed);
   if (!handshaken_) {
     if (frame[0] != kReplWelcomeTag) return;  // tolerate stray frames
+    std::size_t off = 1;
+    std::uint64_t base = 0;
+    if (!GetVarint(frame, &off, &base)) {
+      decode_rejected_.fetch_add(1, std::memory_order_relaxed);
+      current_->Close();
+      return;
+    }
     handshaken_ = true;
-    if (had_connection_) {
+    if (welcomed_.exchange(true, std::memory_order_acq_rel)) {
       reconnects_.fetch_add(1, std::memory_order_relaxed);
     }
-    had_connection_ = true;
+    // A receiver that has delivered nothing asked for a replay from
+    // from_lsn; the stream resumes at the seq the primary attached it at,
+    // which is past 0 whenever that LSN is.
+    if (next_expected_.load(std::memory_order_acquire) == 0) {
+      next_expected_.store(base, std::memory_order_release);
+    }
     backoff_.Reset();
     return;
   }
-  if (frame[0] == kReplDataTag) {
-    std::size_t off = 1;
-    auto record = DecodeRecord(frame, &off);
-    if (!record.ok()) {
-      // An undecodable record means the stream itself is damaged; drop the
-      // connection and let the re-HELLO replay a clean suffix.
-      decode_rejected_.fetch_add(1, std::memory_order_relaxed);
-      LAZYSI_WARN("replication receiver: undecodable record: "
-                  << record.status());
-      current_->Close();
-      return;
-    }
-    if (!HandleRecord(std::move(*record)) && current_) current_->Close();
+  // Duplicate WELCOMEs and unknown tags between handshakes are ignored.
+  if (frame[0] != kReplBatchTag) return;
+  frames_received_.fetch_add(1, std::memory_order_relaxed);
+  std::size_t off = 0;
+  std::vector<PropagationRecord> records;
+  if (!DecodeBatchFramePayload(frame, &off, &records)) {
+    // Malformed count, record, or trailing garbage: damaged stream.
+    // Nothing from the batch is applied — the reconnect replay
+    // redelivers it cleanly and seq dedup drops any overlap.
+    decode_rejected_.fetch_add(1, std::memory_order_relaxed);
+    LAZYSI_WARN("replication receiver: undecodable batch frame");
+    current_->Close();
     return;
   }
-  if (frame[0] == kReplBatchTag) {
-    batch_frames_received_.fetch_add(1, std::memory_order_relaxed);
-    std::size_t off = 0;
-    std::vector<PropagationRecord> records;
-    if (!DecodeBatchFramePayload(frame, &off, &records)) {
-      // Malformed count, record, or trailing garbage: damaged stream.
-      // Nothing from the batch is applied — the reconnect replay
-      // redelivers it cleanly and seq dedup drops any overlap.
-      decode_rejected_.fetch_add(1, std::memory_order_relaxed);
-      LAZYSI_WARN("replication receiver: undecodable batch frame");
-      current_->Close();
+  for (auto& record : records) {
+    if (!HandleRecord(std::move(record))) {
+      if (current_) current_->Close();
       return;
     }
-    for (auto& record : records) {
-      if (!HandleRecord(std::move(record))) {
-        if (current_) current_->Close();
-        return;
-      }
-      // The ACK write inside HandleRecord can fail inline (peer reset),
-      // which closes the connection and resets current_ via OnClosed; the
-      // rest of the batch must not touch the dead connection — the
-      // reconnect replay redelivers it and seq dedup drops the overlap.
-      if (!current_ || current_->closed()) return;
-    }
-    return;
+    // The ACK write inside HandleRecord can fail inline (peer reset),
+    // which closes the connection and resets current_ via OnClosed; the
+    // rest of the batch must not touch the dead connection — the
+    // reconnect replay redelivers it and seq dedup drops the overlap.
+    if (!current_ || current_->closed()) return;
   }
-  // Unknown tag between handshakes: ignore for forward compatibility.
 }
 
 bool ReplicationReceiver::HandleRecord(PropagationRecord record) {
@@ -617,12 +656,7 @@ bool ReplicationReceiver::HandleRecord(PropagationRecord record) {
   if (++since_ack_ >= options_.ack_interval) {
     std::string ack(1, kReplAckTag);
     PutVarint(&ack, seq);
-    std::string wire;
-    AppendTcpFrame(&wire, ack);
-    // A previous ACK in this batch may have failed inline and torn the
-    // connection down (current_ reset by OnClosed); the record itself is
-    // applied either way, the ack just waits for the reconnect.
-    if (current_) current_->Write(std::move(wire));
+    WriteFrame(std::move(ack));
     since_ack_ = 0;
   }
   return true;

@@ -18,47 +18,57 @@
 #include "common/status.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
-#include "replication/framed_socket.h"
+#include "net/framed_socket.h"
+#include "replication/fault_shim.h"
 #include "replication/messages.h"
+#include "replication/partition_map.h"
 #include "replication/propagator.h"
-#include "replication/tcp_link.h"
 
 namespace lazysi {
 namespace replication {
 
-/// Cross-process propagation stream. ReliableChannel hosts both protocol
-/// endpoints in one object and so cannot span processes; this pair splits
-/// the roles and leans on TCP for in-order, loss-free delivery within a
-/// connection. Loss shows up only as a dropped connection, and repair is the
-/// reconnect handshake:
+/// The replication stream: the one protocol that carries propagation records
+/// from a primary to its secondaries, both across processes and inside
+/// ReplicatedSystem's transported mode. It leans on TCP for in-order,
+/// loss-free delivery within a connection, so loss shows up only as a
+/// dropped connection, and repair is the reconnect handshake:
 ///
 ///   secondary -> HELLO { expected_seq, from_lsn }
 ///   primary:  expected_seq > 0 -> AttachSinkAt(SyncPointAtOrBefore(E).lsn)
-///             expected_seq == 0 -> AttachSinkAt(from_lsn)  (cold start /
-///                                  restart after kill -9: full log replay)
+///             expected_seq == 0 -> AttachSinkAt(from_lsn)  (cold start,
+///                                  restart after kill -9, or recovery from
+///                                  a checkpoint taken at from_lsn)
 ///   primary -> WELCOME { base_seq }
-///   primary -> BATCH { n, record* } | DATA { record }
-///   secondary -> ACK { cum_seq }*
+///   primary -> BATCH { n, record* }*
+///   secondary -> ACK { seq }*
 ///
-/// The replayed suffix may overlap what the secondary already applied
-/// (sync points quantize downward); global record sequence numbers let the
-/// receiver drop the overlap as duplicates — the same idempotence argument
-/// as ReliableChannel's resync (Section 3.4's recovery machinery).
+/// Every frame ends in a CRC-32C of its payload (SealReplFrame); a frame
+/// that fails it cuts the connection. The replayed suffix may overlap what
+/// the secondary already applied (sync points quantize downward); global
+/// record sequence numbers let the listener skip the overlap and the
+/// receiver drop any duplicate that still arrives (Section 3.4's recovery
+/// machinery reused at transport level).
 ///
 /// Both endpoints run on a net::EventLoop: connections are non-blocking and
 /// reactor-registered, so I/O thread count is O(loops), not O(secondaries).
-/// The hot direction coalesces records into BATCH frames (one length prefix
-/// + tag + count for a whole run, one writev per frame instead of one
-/// send() per record); single-record DATA frames remain understood for
-/// compatibility and as the batching=false mode.
+/// Records are coalesced into BATCH frames (one length prefix + tag + count
+/// for a whole run, one writev per frame instead of one send() per record).
 
-/// One-byte frame tags of the cross-process propagation stream. Exposed for
-/// the framing fuzz corpus.
+/// One-byte frame tags of the replication stream. Exposed for the framing
+/// fuzz corpus.
 constexpr char kReplHelloTag = 'H';    // secondary -> primary
 constexpr char kReplWelcomeTag = 'W';  // primary -> secondary
-constexpr char kReplDataTag = 'D';     // one record
 constexpr char kReplBatchTag = 'B';    // varint count + that many records
-constexpr char kReplAckTag = 'A';      // cumulative seq
+constexpr char kReplAckTag = 'A';      // seq of the last delivered record
+
+/// Appends the CRC-32C trailer to a replication-stream frame payload. The
+/// sealed frame is what crosses the wire inside the TCP length prefix.
+void SealReplFrame(std::string* frame);
+
+/// Verifies and strips the CRC-32C trailer of a frame TcpFramer yielded.
+/// False when the frame is too short to carry one or the checksum does not
+/// match: the stream is damaged and the connection must drop.
+bool UnsealReplFrame(std::string* frame);
 
 /// Builds one BATCH frame payload: tag + varint(count) + count encoded
 /// records. The listener's pump produces the same bytes incrementally;
@@ -89,9 +99,6 @@ class ReplicationListener {
     std::uint16_t port = 0;  // 0 = ephemeral; see port() after Start
     /// Shared reactor; nullptr = the listener owns (and starts) its own.
     net::EventLoop* loop = nullptr;
-    /// Coalesce records into BATCH frames (false = one DATA frame per
-    /// record, the PR 8 wire shape).
-    bool batching = true;
     std::size_t max_batch_records = 128;
     std::size_t max_batch_bytes = 256 * 1024;
     /// > 0: hold a partial batch this long for more records before
@@ -101,18 +108,27 @@ class ReplicationListener {
     /// Per-connection output-buffer ceiling; at or above it the pump stops
     /// pulling from the propagator sink for that connection.
     std::size_t max_output_bytes = 1 << 20;
+    /// Coverage filter applied to every attach — first HELLO and every
+    /// resync replay — so a partially replicated secondary never receives
+    /// uncovered updates.
+    SinkFilter filter;
+    /// Faults injected into every frame this listener writes (all zero =
+    /// none), drawn from an RNG seeded with fault_seed.
+    FaultProfile faults;
+    std::uint64_t fault_seed = 1;
   };
 
   struct Stats {
     std::uint64_t connections_accepted = 0;
     std::uint64_t records_streamed = 0;
     std::uint64_t replay_attaches = 0;  // HELLOs answered via AttachSinkAt
-    std::uint64_t frames_sent = 0;      // DATA + BATCH frames
-    std::uint64_t batch_frames_sent = 0;
+    std::uint64_t attach_refusals = 0;  // HELLOs the propagator refused
+    std::uint64_t frames_sent = 0;      // BATCH frames
     std::uint64_t bytes_sent = 0;    // wire bytes accepted by the kernel
     std::uint64_t writev_calls = 0;  // flush syscalls across connections
     std::uint64_t flushes = 0;       // flushes that fully drained a buffer
     std::uint64_t backpressure_stalls = 0;  // pump paused on a full buffer
+    FaultShim::Counters faults;             // all zero without injection
   };
 
   ReplicationListener(Propagator* propagator, Options options);
@@ -126,7 +142,6 @@ class ReplicationListener {
 
   std::uint16_t port() const { return port_; }
   Stats stats() const;
-  net::EventLoop* loop() { return loop_; }
 
   /// Lowest LSN any live secondary may still need for a resync: the minimum
   /// over live connections of the quiesced point at or below that
@@ -139,12 +154,15 @@ class ReplicationListener {
  private:
   struct Conn {
     std::shared_ptr<net::Connection> nc;
-    TcpFramer framer;  // loop thread only
+    net::TcpFramer framer;  // loop thread only
     BlockingQueue<PropagationRecord> sink;
     std::atomic<std::uint64_t> acked{0};
     std::atomic<bool> attached{false};
     std::atomic<bool> done{false};  // closed; ignore in MinAckFloor
     std::atomic<bool> pump_scheduled{false};
+    /// The HELLO's expected seq: replayed records below it are already at
+    /// the secondary and never cross the wire. Written before `attached`.
+    std::uint64_t resume_seq = 0;
     // Loop-thread-only protocol state.
     bool hello_done = false;
     bool stalled = false;
@@ -157,8 +175,7 @@ class ReplicationListener {
   void OnAcceptable();
   void OnConnBytes(const std::shared_ptr<Conn>& conn, std::string_view bytes);
   void OnConnClosed(const std::shared_ptr<Conn>& conn);
-  void HandleFrame(const std::shared_ptr<Conn>& conn,
-                   const std::string& frame);
+  void HandleFrame(const std::shared_ptr<Conn>& conn, std::string frame);
   /// Attach worker thread: full-log replays can take a while, so HELLO
   /// handling runs off-loop (one worker serves all connections — thread
   /// count stays O(1)).
@@ -166,11 +183,15 @@ class ReplicationListener {
                     std::uint64_t from_lsn);
   void SchedulePump(const std::weak_ptr<Conn>& weak);
   void PumpConn(const std::shared_ptr<Conn>& conn);
-  void EmitBatch(Conn* conn);
-  void WriteFrame(Conn* conn, std::string_view payload);
+  /// False when the fault shim cut the connection instead.
+  bool EmitBatch(Conn* conn);
+  /// Seals `payload`, runs it through the fault shim and queues it on the
+  /// connection. False when the shim cut the connection instead.
+  bool WriteFrame(Conn* conn, std::string payload);
 
   Propagator* propagator_;
   Options options_;
+  std::unique_ptr<FaultShim> shim_;  // null without injected faults
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   std::unique_ptr<net::EventLoop> owned_loop_;
@@ -187,8 +208,8 @@ class ReplicationListener {
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> records_streamed_{0};
   std::atomic<std::uint64_t> replay_attaches_{0};
+  std::atomic<std::uint64_t> attach_refusals_{0};
   std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> batch_frames_sent_{0};
   std::atomic<std::uint64_t> backpressure_stalls_{0};
   // bytes/writev/flush counters of connections that already closed; stats()
   // adds the live connections' counters on top.
@@ -228,10 +249,10 @@ class ReplicationReceiver {
     std::uint64_t records_delivered = 0;
     std::uint64_t duplicates_dropped = 0;
     std::uint64_t decode_rejected = 0;
-    std::uint64_t reconnects = 0;
+    std::uint64_t crc_rejected = 0;  // frames failing their CRC-32C
+    std::uint64_t reconnects = 0;    // WELCOMEs after the first
     std::uint64_t dial_attempts = 0;
-    std::uint64_t frames_received = 0;
-    std::uint64_t batch_frames_received = 0;
+    std::uint64_t frames_received = 0;  // BATCH frames
     std::uint64_t bytes_received = 0;
   };
 
@@ -242,6 +263,7 @@ class ReplicationReceiver {
   ReplicationReceiver(const ReplicationReceiver&) = delete;
   ReplicationReceiver& operator=(const ReplicationReceiver&) = delete;
 
+  /// Dials the primary. After a Stop, Start resumes at next_expected().
   void Start();
   void Stop();
 
@@ -254,18 +276,21 @@ class ReplicationReceiver {
   std::uint64_t next_expected() const {
     return next_expected_.load(std::memory_order_acquire);
   }
-  net::EventLoop* loop() { return loop_; }
+  /// True once a primary has answered a HELLO: the stream is attached.
+  bool welcomed() const { return welcomed_.load(std::memory_order_acquire); }
 
  private:
   // All of these run on the loop thread.
   void StartDial();
   void OnDialDone(int fd, bool ok);
   void OnBytes(std::string_view bytes);
-  void HandleFrame(const std::string& frame);
+  void HandleFrame(std::string frame);
   /// Returns false when the stream is damaged and the connection must drop.
   bool HandleRecord(PropagationRecord record);
   void OnClosed();
   void ScheduleRedial();
+  /// Seals `payload` and writes it on the current connection, if any.
+  void WriteFrame(std::string payload);
 
   BlockingQueue<PropagationRecord>* downstream_;
   Options options_;
@@ -274,14 +299,14 @@ class ReplicationReceiver {
   std::atomic<bool> stopping_{false};
   bool started_ = false;
   std::atomic<std::uint64_t> next_expected_{0};
+  std::atomic<bool> welcomed_{false};
 
   // Loop-thread-only state.
   std::shared_ptr<net::Connection> current_;
-  TcpFramer framer_;
+  net::TcpFramer framer_;
   int pending_fd_ = -1;  // non-blocking connect in flight
   net::EventLoop::TimerId redial_timer_ = 0;
   bool handshaken_ = false;
-  bool had_connection_ = false;
   std::size_t since_ack_ = 0;
   ExponentialBackoff backoff_;
   Rng rng_;
@@ -290,10 +315,10 @@ class ReplicationReceiver {
   std::atomic<std::uint64_t> records_delivered_{0};
   std::atomic<std::uint64_t> duplicates_dropped_{0};
   std::atomic<std::uint64_t> decode_rejected_{0};
+  std::atomic<std::uint64_t> crc_rejected_{0};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> dial_attempts_{0};
   std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> batch_frames_received_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
 };
 

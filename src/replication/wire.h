@@ -19,7 +19,7 @@ namespace replication {
 /// per secondary carries EncodeRecord outputs back-to-back.
 
 /// Appends `v` to `out` as a base-128 varint (same scheme as the logical
-/// log). Exposed for the reliable channel's frame headers.
+/// log). Exposed for the replication stream's frame headers.
 void PutVarint(std::string* out, std::uint64_t v);
 
 /// Decodes a varint at *offset, advancing it. Rejects encodings longer than

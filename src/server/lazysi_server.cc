@@ -8,15 +8,13 @@
 //   lazysi_server --role=primary   [--client-port=N] [--repl-port=N]
 //                 [--port-file=PATH] [--data-dir=PATH]
 //                 [--fsync-mode=always|group|never] [--group-flush-us=N]
-//                 [--checkpoint-interval-ms=N] [--batching=0|1]
-//                 [--max-batch-records=N] [--max-batch-bytes=N]
-//                 [--batch-flush-ms=N] [--workers=N]
+//                 [--checkpoint-interval-ms=N] [--max-batch-records=N]
+//                 [--max-batch-bytes=N] [--batch-flush-ms=N] [--workers=N]
 //   lazysi_server --role=secondary --primary-port=N [--primary-host=H]
 //                 [--client-port=N] [--site-id=N] [--port-file=PATH]
 //                 [--workers=N]
 //
-// The wire knobs tune the propagation stream a primary serves: --batching=0
-// falls back to one DATA frame per record (the PR 8 wire shape), the batch
+// The wire knobs tune the propagation stream a primary serves: the batch
 // knobs bound how many records / bytes one BATCH frame coalesces and how
 // long a partial batch may wait for more records. --workers sizes the
 // client-request pool (all socket I/O runs on the site's single reactor
@@ -60,9 +58,9 @@ int Usage(const char* argv0) {
                "       [--repl-port=N] [--primary-host=H] [--primary-port=N]\n"
                "       [--site-id=N] [--port-file=PATH] [--data-dir=PATH]\n"
                "       [--fsync-mode=always|group|never] [--group-flush-us=N]\n"
-               "       [--checkpoint-interval-ms=N] [--batching=0|1]\n"
-               "       [--max-batch-records=N] [--max-batch-bytes=N]\n"
-               "       [--batch-flush-ms=N] [--max-output-bytes=N]\n"
+               "       [--checkpoint-interval-ms=N] [--max-batch-records=N]\n"
+               "       [--max-batch-bytes=N] [--batch-flush-ms=N]\n"
+               "       [--max-output-bytes=N]\n"
                "       [--max-pending-requests=N] [--workers=N]\n";
   return 2;
 }
@@ -102,8 +100,6 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--checkpoint-interval-ms", &value)) {
       options.checkpoint_interval =
           std::chrono::milliseconds(std::stoul(value));
-    } else if (ParseFlag(argv[i], "--batching", &value)) {
-      options.repl_batching = value != "0" && value != "false";
     } else if (ParseFlag(argv[i], "--max-batch-records", &value)) {
       options.max_batch_records = std::stoul(value);
     } else if (ParseFlag(argv[i], "--max-batch-bytes", &value)) {

@@ -16,9 +16,9 @@ Status RemoteSite::Connect(const std::string& host, std::uint16_t port,
   ExponentialBackoff backoff(options_.backoff_initial, options_.backoff_max);
   const int attempts = options_.max_attempts > 0 ? options_.max_attempts : 1;
   for (int attempt = 0;; ++attempt) {
-    const int fd = replication::DialTcp(host, port, options_.connect_timeout);
+    const int fd = net::DialTcp(host, port, options_.connect_timeout);
     if (fd >= 0) {
-      sock_ = std::make_unique<replication::FramedSocket>(fd);
+      sock_ = std::make_unique<net::FramedSocket>(fd);
       sock_->set_recv_timeout(options_.op_timeout);
       return Status::OK();
     }

@@ -12,7 +12,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/timestamp.h"
-#include "replication/framed_socket.h"
+#include "net/framed_socket.h"
 
 namespace lazysi {
 namespace system {
@@ -99,7 +99,7 @@ class RemoteSite {
   Status RoundTrip(const std::string& request, std::string* reply,
                    std::size_t* offset);
 
-  std::unique_ptr<replication::FramedSocket> sock_;
+  std::unique_ptr<net::FramedSocket> sock_;
   ConnectOptions options_;
   Rng rng_{0xc11e47d1a1};
 };

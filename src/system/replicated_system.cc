@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <thread>
 
 #include "common/logging.h"
-#include "replication/tcp_link.h"
 
 namespace lazysi {
 namespace system {
@@ -364,6 +364,15 @@ Status ClientConnection::ExecuteRead(
 
 namespace {
 
+/// Redial backoff of the in-process receivers: loopback redials are cheap,
+/// and a fault-injected stream is cut every few frames.
+constexpr std::chrono::milliseconds kRedialBackoff{1};
+constexpr std::chrono::milliseconds kRedialBackoffMax{20};
+/// One record per frame in process: faults are drawn per frame, and how many
+/// records a frame would coalesce depends on thread timing, so this keeps a
+/// seeded fault schedule falling on the same records run after run.
+constexpr std::size_t kStreamBatchRecords = 1;
+
 /// Propagator options for the primary: batching per config, plus (for a
 /// durable primary) the read barrier that keeps replication behind the
 /// flushed-LSN watermark — no record reaches a secondary before disk.
@@ -441,6 +450,10 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
           &primary_db_, durable_log_.get(), copts);
     }
   }
+  if (transported()) {
+    loop_ = std::make_unique<net::EventLoop>();
+    loop_->Start();
+  }
   for (std::size_t i = 0; i < config_.num_secondaries; ++i) {
     auto site = std::make_unique<SecondarySite>();
     site->db = std::make_unique<engine::Database>(engine::DatabaseOptions{
@@ -490,22 +503,14 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
                                                config_.network_jitter,
                                                1000 + i});
     }
-    if (config_.transport_faults.any() || config_.transport_tcp) {
-      // Framed transport: records cross a byte link as encoded frames —
-      // ChaosLink queues or real TcpLink loopback sockets — and the reliable
-      // channel re-establishes FIFO-no-loss on top. It attaches itself to
-      // the propagator in Start().
-      if (config_.transport_tcp) {
-        site->link = std::make_unique<replication::TcpLink>(
-            config_.transport_faults, config_.transport_seed + i);
-      } else {
-        site->link = std::make_unique<replication::ChaosLink>(
-            config_.transport_faults, config_.transport_seed + i);
+    if (transported()) {
+      // The secondary's stream attaches where the empty (or bootstrapped)
+      // fleet stands: the propagator's position before it starts.
+      const Status opened = OpenStream(site.get(), i, config_.transport_seed + i,
+                                       primary_.propagator()->position());
+      if (!opened.ok()) {
+        LAZYSI_ERROR("secondary " << i << " replication stream: " << opened);
       }
-      site->reliable = std::make_unique<replication::ReliableChannel>(
-          primary_.propagator(), site->link.get(),
-          wan ? site->channel->inlet() : site->replica->update_queue(),
-          TransportOptions(i));
     } else if (wan) {
       primary_.propagator()->AttachSink(site->channel->inlet(), FilterFor(i));
     } else {
@@ -515,15 +520,29 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
   }
 }
 
-replication::ReliableChannel::Options ReplicatedSystem::TransportOptions(
-    std::size_t secondary_index) const {
-  replication::ReliableChannel::Options opts;
-  opts.ack_interval = config_.transport_ack_interval;
-  opts.backoff_initial = config_.transport_backoff_initial;
-  opts.backoff_max = config_.transport_backoff_max;
-  opts.retransmit_cap = config_.transport_retransmit_cap;
-  opts.filter = FilterFor(secondary_index);
-  return opts;
+Status ReplicatedSystem::OpenStream(SecondarySite* site, std::size_t i,
+                                    std::uint64_t fault_seed,
+                                    std::size_t from_lsn) {
+  replication::ReplicationListener::Options lo;
+  lo.loop = loop_.get();
+  lo.max_batch_records = kStreamBatchRecords;
+  lo.filter = FilterFor(i);
+  lo.faults = config_.transport_faults;
+  lo.fault_seed = fault_seed;
+  site->listener = std::make_unique<replication::ReplicationListener>(
+      primary_.propagator(), lo);
+  LAZYSI_RETURN_NOT_OK(site->listener->Start());
+  replication::ReplicationReceiver::Options ro;
+  ro.primary_port = site->listener->port();
+  ro.reconnect_backoff = kRedialBackoff;
+  ro.reconnect_backoff_max = kRedialBackoffMax;
+  ro.jitter_seed = fault_seed;
+  ro.from_lsn = from_lsn;
+  ro.loop = loop_.get();
+  site->receiver = std::make_unique<replication::ReplicationReceiver>(
+      site->channel ? site->channel->inlet() : site->replica->update_queue(),
+      ro);
+  return Status::OK();
 }
 
 ReplicatedSystem::~ReplicatedSystem() { Stop(); }
@@ -532,12 +551,12 @@ void ReplicatedSystem::Start() {
   if (started_) return;
   started_ = true;
   for (auto& site : secondaries_) {
+    if (site->failed.load(std::memory_order_acquire)) continue;
     site->replica->Start();
     if (site->channel) site->channel->Start();
-    if (site->reliable) {
-      if (site->link) site->link->Reopen();
-      site->reliable->Start();
-    }
+    // After a Stop the receiver redials at its position; the replay
+    // overlap is deduplicated by record seq.
+    if (site->receiver) site->receiver->Start();
   }
   primary_.Start();
   if (checkpointer_) checkpointer_->Start();
@@ -580,7 +599,9 @@ void ReplicatedSystem::Stop() {
   if (checkpointer_) checkpointer_->Stop();
   primary_.Stop();
   for (auto& site : secondaries_) {
-    if (site->reliable) site->reliable->Stop();
+    // The listener stays up; its side of the connection closes with the
+    // receiver's.
+    if (site->receiver) site->receiver->Stop();
     if (site->channel) site->channel->Stop();
     site->replica->Stop();
   }
@@ -590,18 +611,18 @@ void ReplicatedSystem::Stop() {
 
 std::uint64_t ReplicatedSystem::PropagationFloor() {
   // Records below the propagator's position were broadcast to every direct
-  // sink; only fault-transport channels can rewind (resync replays from a
-  // sync point at or below the receiver's cumulative ack), so each live
-  // channel pins the floor at that sync point.
-  std::uint64_t floor = primary_.propagator()->position();
+  // sink; only a stream can rewind, replaying from the sync point at or
+  // below its receiver's position. The listener knows that position from
+  // acks while a connection is up; between a cut and the redial only the
+  // receiver does.
+  replication::Propagator* propagator = primary_.propagator();
+  std::uint64_t floor = propagator->position();
   std::shared_lock lock(sites_mu_);
   for (auto& s : secondaries_) {
-    if (s->failed.load(std::memory_order_acquire)) continue;
-    if (!s->reliable) continue;
+    if (s->failed.load(std::memory_order_acquire) || !s->receiver) continue;
     floor = std::min<std::uint64_t>(
-        floor, primary_.propagator()
-                   ->SyncPointAtOrBefore(s->reliable->acked_floor())
-                   .lsn);
+        {floor, s->listener->MinAckFloor(),
+         propagator->SyncPointAtOrBefore(s->receiver->next_expected()).lsn});
   }
   return floor;
 }
@@ -741,7 +762,6 @@ std::string ReplicatedSystem::SystemStats::ToString() const {
     }
     if (!s.failed && (s.transport_delivered > 0 || s.link_dropped > 0)) {
       os << " transport[delivered=" << s.transport_delivered
-         << " retx=" << s.transport_retransmits
          << " resyncs=" << s.transport_resyncs
          << " crc_rej=" << s.transport_crc_rejected
          << " dups=" << s.transport_duplicates
@@ -815,21 +835,22 @@ ReplicatedSystem::SystemStats ReplicatedSystem::Stats() {
       sec.group_applies = s->replica->group_applies();
       sec.group_applied_commits = s->replica->group_applied_commits();
       sec.max_group_apply = s->replica->max_group_apply();
-      if (s->reliable) {
-        const auto ch = s->reliable->stats();
-        sec.transport_delivered = ch.records_delivered;
-        sec.transport_retransmits = ch.retransmit_frames;
-        sec.transport_resyncs = ch.resyncs;
-        sec.transport_crc_rejected = ch.crc_rejected;
-        sec.transport_duplicates = ch.duplicates_dropped;
-        const auto lk = s->link->counters();
-        sec.link_dropped = lk.dropped;
-        sec.link_corrupted = lk.corrupted;
-        sec.link_disconnects = lk.disconnects;
-        sec.link_frames_sent = lk.sent;
-        sec.link_frames_delivered = lk.delivered;
-        sec.link_bytes_sent = lk.bytes_sent;
-        sec.link_bytes_delivered = lk.bytes_delivered;
+      if (s->receiver) {
+        // Receiver first: bytes it read were sent before, so the delivered
+        // side never overtakes the sent side in one snapshot.
+        const auto rx = s->receiver->stats();
+        const auto tx = s->listener->stats();
+        sec.transport_delivered = rx.records_delivered;
+        sec.transport_resyncs = rx.reconnects;
+        sec.transport_crc_rejected = rx.crc_rejected;
+        sec.transport_duplicates = rx.duplicates_dropped;
+        sec.link_dropped = tx.faults.dropped;
+        sec.link_corrupted = tx.faults.corrupted;
+        sec.link_disconnects = tx.faults.disconnects;
+        sec.link_frames_sent = tx.frames_sent;
+        sec.link_frames_delivered = rx.frames_received;
+        sec.link_bytes_sent = tx.bytes_sent;
+        sec.link_bytes_delivered = rx.bytes_received;
       }
     }
     stats.secondaries.push_back(sec);
@@ -919,8 +940,9 @@ Status ReplicatedSystem::FailSecondary(std::size_t i) {
   // Crash: the pipeline stops; queued updates and refresh state are lost
   // along with the site's database (Section 3.4). Detach from the
   // propagator first so broadcasts never touch the dead queue.
-  if (s->reliable) {
-    s->reliable->Stop();  // detaches its own propagator sink
+  if (s->receiver) {
+    s->receiver->Stop();
+    s->listener->Stop();  // detaches its propagator sinks
     if (s->channel) s->channel->Stop();
   } else if (s->channel) {
     primary_.propagator()->DetachSink(s->channel->inlet());
@@ -959,68 +981,84 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
     }
   }
 
-  auto fresh_db = std::make_unique<engine::Database>(engine::DatabaseOptions{
+  // The checkpoint can be ahead of the propagator by the last few commits;
+  // attaching at its LSN needs them consumed first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + config_.read_block_timeout;
+  while (started_ && primary_.propagator()->position() < checkpoint.lsn) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return Status::TimedOut("propagator did not reach the checkpoint");
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Built aside and swapped in only once attached; on an error return its
+  // members are torn down receiver first.
+  SecondarySite fresh;
+  fresh.db = std::make_unique<engine::Database>(engine::DatabaseOptions{
       static_cast<SiteId>(i + 1), "secondary-" + std::to_string(i) + "-r",
       config_.record_state_chain});
-  auto install = fresh_db->InstallCheckpoint(checkpoint);
+  auto install = fresh.db->InstallCheckpoint(checkpoint);
   if (!install.ok()) return install.status();
 
   replication::SecondaryOptions sec_opts;
   sec_opts.applicator_threads = config_.applicator_threads;
   sec_opts.direct_apply = config_.direct_apply_refresh;
   sec_opts.decode_threads = config_.decode_threads;
-  auto fresh_replica =
-      std::make_unique<replication::Secondary>(fresh_db.get(), sec_opts);
+  fresh.replica =
+      std::make_unique<replication::Secondary>(fresh.db.get(), sec_opts);
   // Dummy-transaction re-seed of seq(DBsec) (Section 4): the checkpoint
   // corresponds to the primary state checkpoint.as_of.
   const Timestamp seq = checkpoint.as_of;
-  fresh_replica->InitializeSeq(seq, *install);
-  fresh_replica->Start();
-  std::unique_ptr<replication::LatencyChannel> fresh_channel;
-  std::unique_ptr<replication::ByteLink> fresh_link;
-  std::unique_ptr<replication::ReliableChannel> fresh_reliable;
+  fresh.replica->InitializeSeq(seq, *install);
+  fresh.replica->Start();
   const bool wan = config_.network_latency.count() > 0 ||
                    config_.network_jitter.count() > 0;
   if (wan) {
-    fresh_channel = std::make_unique<replication::LatencyChannel>(
-        fresh_replica->update_queue(),
+    fresh.channel = std::make_unique<replication::LatencyChannel>(
+        fresh.replica->update_queue(),
         replication::LatencyChannel::Options{config_.network_latency,
                                              config_.network_jitter,
                                              2000 + i});
-    fresh_channel->Start();
+    fresh.channel->Start();
   }
-  if (config_.transport_faults.any() || config_.transport_tcp) {
-    // The recovered site gets a fresh connection: new link (fresh fault
-    // stream / fresh sockets), new channel, attached at the checkpoint so
-    // the missed log suffix is replayed through the transport like any
-    // other record.
-    if (config_.transport_tcp) {
-      fresh_link = std::make_unique<replication::TcpLink>(
-          config_.transport_faults, config_.transport_seed + 1000 + i);
-    } else {
-      fresh_link = std::make_unique<replication::ChaosLink>(
-          config_.transport_faults, config_.transport_seed + 1000 + i);
+  if (transported()) {
+    // The recovered site gets a fresh stream (new listener, new fault
+    // schedule) whose receiver asks for the replay from the checkpoint, so
+    // the missed log suffix crosses the wire like any other record. The
+    // attach runs on the listener's side; wait for it so a refused attach
+    // still surfaces here.
+    LAZYSI_RETURN_NOT_OK(OpenStream(&fresh, i,
+                                    config_.transport_seed + 1000 + i,
+                                    checkpoint.lsn));
+    fresh.receiver->Start();
+    while (!fresh.receiver->welcomed()) {
+      if (fresh.listener->stats().attach_refusals > 0) {
+        return Status::FailedPrecondition(
+            "propagator refused the replay attach at lsn " +
+            std::to_string(checkpoint.lsn));
+      }
+      if (std::chrono::steady_clock::now() >= deadline) {
+        return Status::TimedOut("recovered secondary's stream did not attach");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    fresh_reliable = std::make_unique<replication::ReliableChannel>(
-        primary_.propagator(), fresh_link.get(),
-        wan ? fresh_channel->inlet() : fresh_replica->update_queue(),
-        TransportOptions(i));
-    LAZYSI_RETURN_NOT_OK(fresh_reliable->StartAt(checkpoint.lsn));
   } else if (wan) {
     LAZYSI_RETURN_NOT_OK(primary_.propagator()
-                             ->AttachSinkAt(fresh_channel->inlet(),
+                             ->AttachSinkAt(fresh.channel->inlet(),
                                             checkpoint.lsn, filter)
                              .status());
   } else {
-    LAZYSI_RETURN_NOT_OK(primary_.AttachSecondaryAt(fresh_replica.get(),
+    LAZYSI_RETURN_NOT_OK(primary_.AttachSecondaryAt(fresh.replica.get(),
                                                     checkpoint.lsn, filter));
   }
 
-  s->db = std::move(fresh_db);
-  s->replica = std::move(fresh_replica);
-  s->channel = std::move(fresh_channel);
-  s->link = std::move(fresh_link);
-  s->reliable = std::move(fresh_reliable);
+  // Old stream first: its receiver feeds the old replica's queue.
+  s->receiver = std::move(fresh.receiver);
+  s->listener = std::move(fresh.listener);
+  s->channel = std::move(fresh.channel);
+  s->replica = std::move(fresh.replica);
+  s->db = std::move(fresh.db);
   s->failed.store(false, std::memory_order_release);
   return Status::OK();
 }

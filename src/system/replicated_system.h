@@ -16,12 +16,11 @@
 #include "engine/checkpointer.h"
 #include "engine/database.h"
 #include "history/recorder.h"
-#include "replication/byte_link.h"
-#include "replication/chaos_link.h"
+#include "net/event_loop.h"
 #include "replication/partition_map.h"
 #include "replication/primary.h"
-#include "replication/reliable_channel.h"
 #include "replication/secondary.h"
+#include "replication/tcp_replication.h"
 #include "replication/transport.h"
 #include "session/session.h"
 
@@ -59,25 +58,19 @@ struct SystemConfig {
   /// Record every committed transaction for offline SI checking.
   bool record_history = false;
   /// Fault injection on the primary -> secondary transport. Any nonzero rate
-  /// routes each secondary's records through a ReliableChannel over a
-  /// ChaosLink (the wire codec then runs on the hot path) instead of handing
-  /// them between threads directly; the channel restores Section 3.2's
-  /// reliable-FIFO contract on top of the injected faults.
+  /// routes each secondary's records through the replication stream the
+  /// deployment runs (ReplicationListener -> loopback TCP ->
+  /// ReplicationReceiver, the wire codec on the hot path) instead of handing
+  /// them between threads directly, with these faults injected into every
+  /// frame the listener writes; the stream's CRC check, seq dedup and
+  /// HELLO/WELCOME resync restore Section 3.2's reliable-FIFO contract.
   replication::FaultProfile transport_faults;
-  /// Chaos RNG seed; secondary i draws from transport_seed + i, so a run
+  /// Fault RNG seed; secondary i draws from transport_seed + i, so a run
   /// with a fixed seed replays its exact fault schedule.
   std::uint64_t transport_seed = 42;
-  /// Ship each secondary's records over real loopback TCP sockets (TcpLink)
-  /// instead of in-process queues: the ReliableChannel path activates even
-  /// with an all-zero fault profile, and any configured transport_faults are
-  /// injected before the frames hit the socket (same seeded schedule as the
-  /// chaos link draw-for-draw).
+  /// Route each secondary's records through the replication stream even
+  /// with an all-zero fault profile.
   bool transport_tcp = false;
-  /// ReliableChannel tuning (used only when transport_faults.any()).
-  std::size_t transport_ack_interval = 32;
-  std::chrono::milliseconds transport_backoff_initial{2};
-  std::chrono::milliseconds transport_backoff_max{100};
-  int transport_retransmit_cap = 8;
   /// Route each read-only transaction to a round-robin secondary instead of
   /// the session's home secondary. Exposes the strong-session-SI vs PCSI
   /// difference (Section 7): under PCSI a roaming session's snapshots may
@@ -338,19 +331,22 @@ class ReplicatedSystem {
     std::uint64_t group_applies = 0;
     std::uint64_t group_applied_commits = 0;
     std::uint64_t max_group_apply = 0;
-    /// Transport-layer counters; all zero on the direct in-process path
-    /// (no chaos transport configured).
+    /// Replication-stream counters; all zero on the direct in-process path
+    /// (no transport configured). Records delivered, resyncs (reconnect
+    /// handshakes, each repairing a cut), frames failing their CRC, and
+    /// replayed records dropped as duplicates; then the injected faults:
+    /// frames lost (each cuts the connection), frames corrupted, and
+    /// spontaneous disconnects.
     std::uint64_t transport_delivered = 0;
-    std::uint64_t transport_retransmits = 0;
     std::uint64_t transport_resyncs = 0;
     std::uint64_t transport_crc_rejected = 0;
     std::uint64_t transport_duplicates = 0;
     std::uint64_t link_dropped = 0;
     std::uint64_t link_corrupted = 0;
     std::uint64_t link_disconnects = 0;
-    /// Byte-link wire volume: frames/bytes offered to the link toward this
-    /// secondary, and what actually arrived (the gap is loss + disconnect
-    /// windows; duplicates inflate the delivered side).
+    /// Wire volume: BATCH frames and bytes the listener offered toward this
+    /// secondary, and what its receiver actually read (the gap is what cuts
+    /// lost; duplicates inflate the delivered side).
     std::uint64_t link_frames_sent = 0;
     std::uint64_t link_frames_delivered = 0;
     std::uint64_t link_bytes_sent = 0;
@@ -454,12 +450,13 @@ class ReplicatedSystem {
     std::unique_ptr<replication::Secondary> replica;
     /// Present only when the config models network latency.
     std::unique_ptr<replication::LatencyChannel> channel;
-    /// Present only when the config injects transport faults or selects the
-    /// TCP transport: the propagator feeds `reliable`, which ships encoded
-    /// frames across `link` (ChaosLink queues or TcpLink loopback sockets)
-    /// into the latency channel (if any) or straight into the update queue.
-    std::unique_ptr<replication::ByteLink> link;
-    std::unique_ptr<replication::ReliableChannel> reliable;
+    /// Present only in transported mode (transport_faults or
+    /// transport_tcp): the secondary's own listener on loopback, attached
+    /// to the propagator with the secondary's partition filter and fault
+    /// schedule, and the receiver feeding the latency channel (if any) or
+    /// the update queue.
+    std::unique_ptr<replication::ReplicationListener> listener;
+    std::unique_ptr<replication::ReplicationReceiver> receiver;
     std::atomic<bool> failed{false};
   };
 
@@ -474,8 +471,15 @@ class ReplicatedSystem {
 
   void GcLoop();
 
-  replication::ReliableChannel::Options TransportOptions(
-      std::size_t secondary_index) const;
+  bool transported() const {
+    return config_.transport_faults.any() || config_.transport_tcp;
+  }
+
+  /// Builds `site`'s replication stream: a started listener carrying
+  /// secondary `i`'s filter and faults drawn from `fault_seed`, and an
+  /// unstarted receiver that asks for a replay from `from_lsn`.
+  Status OpenStream(SecondarySite* site, std::size_t i,
+                    std::uint64_t fault_seed, std::size_t from_lsn);
 
   /// The partition filter secondary `i`'s replication stream runs through
   /// (inactive under full replication).
@@ -487,9 +491,9 @@ class ReplicatedSystem {
   std::vector<Timestamp> PartitionFloorsLocked();
 
   /// Minimum LSN any propagation sink may still need for a resync (the
-  /// checkpointer's log_floor): under fault transports, the min over live
-  /// channels of the sync point at or below their receiver's cumulative
-  /// ack; on the direct in-process path, the propagator's position.
+  /// checkpointer's log_floor): in transported mode, the min over live
+  /// streams of the sync point their next resync replays from; on the
+  /// direct in-process path, the propagator's position.
   std::uint64_t PropagationFloor();
 
   SystemConfig config_;
@@ -501,6 +505,9 @@ class ReplicatedSystem {
   std::unique_ptr<wal::DurableLog> durable_log_;
   std::unique_ptr<engine::Checkpointer> checkpointer_;
   engine::Database::RestoreReport restore_report_;
+  /// Transported mode only: the reactor every stream's listener and
+  /// receiver share. Declared before secondaries_ so it outlives them.
+  std::unique_ptr<net::EventLoop> loop_;
   std::shared_mutex sites_mu_;
   std::vector<std::unique_ptr<SecondarySite>> secondaries_;
   session::SessionManager sessions_;

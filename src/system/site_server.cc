@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "replication/tcp_link.h"
 #include "system/wire_api.h"
 
 namespace lazysi {
@@ -101,7 +100,6 @@ Status SiteServer::Start() {
     lo.host = options_.host;
     lo.port = options_.repl_port;
     lo.loop = loop_.get();
-    lo.batching = options_.repl_batching;
     lo.max_batch_records = options_.max_batch_records;
     lo.max_batch_bytes = options_.max_batch_bytes;
     lo.batch_flush_interval = options_.batch_flush_interval;
@@ -138,13 +136,13 @@ Status SiteServer::Start() {
   }
 
   client_listen_fd_ =
-      replication::ListenOn(options_.host, options_.client_port,
+      net::ListenOn(options_.host, options_.client_port,
                             &client_port_);
   if (client_listen_fd_ < 0) {
     return Status::Unavailable("site server: cannot bind client port on " +
                                options_.host);
   }
-  replication::SetNonBlocking(client_listen_fd_);
+  net::SetNonBlocking(client_listen_fd_);
   loop_->RunInLoop([this] {
     loop_->AddFd(client_listen_fd_, EPOLLIN,
                  [this](std::uint32_t) { OnClientAcceptable(); });
@@ -203,7 +201,7 @@ SiteServer::WireStats SiteServer::wire_stats() const {
   if (repl_listener_) {
     const auto stats = repl_listener_->stats();
     wire.frames = stats.frames_sent;
-    wire.batch_frames = stats.batch_frames_sent;
+    wire.batch_frames = stats.frames_sent;
     wire.records = stats.records_streamed;
     wire.bytes = stats.bytes_sent;
     wire.writev_calls = stats.writev_calls;
@@ -213,7 +211,7 @@ SiteServer::WireStats SiteServer::wire_stats() const {
   } else if (repl_receiver_) {
     const auto stats = repl_receiver_->stats();
     wire.frames = stats.frames_received;
-    wire.batch_frames = stats.batch_frames_received;
+    wire.batch_frames = stats.frames_received;
     wire.records = stats.records_delivered;
     wire.bytes = stats.bytes_received;
     wire.connections = stats.reconnects;
@@ -232,7 +230,7 @@ void SiteServer::OnClientAcceptable() {
       ::close(fd);
       return;
     }
-    replication::SetTcpNoDelay(fd);
+    net::SetTcpNoDelay(fd);
     auto conn = std::make_shared<ClientConn>();
     std::weak_ptr<ClientConn> weak = conn;
     net::Connection::Callbacks cbs;
@@ -349,7 +347,7 @@ void SiteServer::PumpClient(const std::shared_ptr<ClientConn>& conn) {
       return;
     }
     std::string wire;
-    replication::AppendTcpFrame(&wire, HandleRequest(request, &conn->txn));
+    net::AppendTcpFrame(&wire, HandleRequest(request, &conn->txn));
     conn->nc->Write(std::move(wire));
   }
 }

@@ -18,7 +18,7 @@
 #include "engine/database.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
-#include "replication/framed_socket.h"
+#include "net/framed_socket.h"
 #include "replication/primary.h"
 #include "replication/secondary.h"
 #include "replication/tcp_replication.h"
@@ -77,7 +77,6 @@ class SiteServer {
     std::size_t worker_threads = 4;
     /// Propagation-wire batching knobs (primary only; see
     /// ReplicationListener::Options).
-    bool repl_batching = true;
     std::size_t max_batch_records = 128;
     std::size_t max_batch_bytes = 256 * 1024;
     std::chrono::milliseconds batch_flush_interval{0};
@@ -95,8 +94,8 @@ class SiteServer {
   /// describe the outbound propagation stream (sent); on a secondary the
   /// inbound one (received).
   struct WireStats {
-    std::uint64_t frames = 0;  // DATA+BATCH frames sent / received
-    std::uint64_t batch_frames = 0;
+    std::uint64_t frames = 0;  // BATCH frames sent / received
+    std::uint64_t batch_frames = 0;  // == frames; kept for the stats wire
     std::uint64_t records = 0;  // streamed / delivered
     std::uint64_t bytes = 0;
     std::uint64_t writev_calls = 0;         // primary flush syscalls
@@ -136,7 +135,7 @@ class SiteServer {
  private:
   struct ClientConn {
     std::shared_ptr<net::Connection> nc;
-    replication::TcpFramer framer;  // loop thread only
+    net::TcpFramer framer;  // loop thread only
 
     std::mutex mu;
     std::deque<std::string> pending;  // complete request frames, in order

@@ -64,6 +64,8 @@ struct SecondaryProc {
           ReplicationReceiver::Options o;
           o.primary_port = primary_port;
           o.ack_interval = 4;
+          o.reconnect_backoff = 1ms;
+          o.reconnect_backoff_max = 20ms;
           return o;
         }()) {
     secondary.Start();
@@ -86,9 +88,28 @@ TEST(TcpReplicationTest, StreamsRecordsEndToEnd) {
   const auto rs = secondary.receiver.stats();
   EXPECT_GT(rs.records_delivered, 0u);
   EXPECT_EQ(rs.reconnects, 0u);
+  EXPECT_EQ(rs.crc_rejected, 0u);
   const auto ls = primary.listener.stats();
   EXPECT_EQ(ls.connections_accepted, 1u);
   EXPECT_GT(ls.records_streamed, 0u);
+}
+
+TEST(TcpReplicationTest, AcksAdvanceTheTruncationFloor) {
+  // The receiver acks every ack_interval records; the listener turns the
+  // acked position into the log-truncation floor, which must leave the
+  // origin once the secondary has applied a sync point past it.
+  PrimaryProc primary;
+  SecondaryProc secondary(primary.listener.port());
+  const Timestamp last = primary.PutN(40, "v");
+  ASSERT_TRUE(secondary.secondary.WaitForSeq(last, 5000ms));
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (primary.listener.MinAckFloor() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "no ack ever advanced the floor";
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_LE(primary.listener.MinAckFloor(),
+            primary.primary.propagator()->position());
 }
 
 TEST(TcpReplicationTest, ReceiverResyncsAfterConnectionCut) {
@@ -128,6 +149,125 @@ TEST(TcpReplicationTest, FreshReceiverReplaysFullLog) {
   EXPECT_EQ(fresh.receiver.stats().duplicates_dropped, 0u);
 }
 
+TEST(TcpReplicationTest, FreshReceiverFromCheckpointStartsAtWelcomeBase) {
+  // Section 3.4 recovery over the stream: a secondary installs a checkpoint
+  // and asks for the replay from its LSN. The first record it receives is
+  // numbered from that LSN on, not 0; the receiver must adopt WELCOME's
+  // base instead of taking that record for a gap and redialing forever.
+  PrimaryProc primary;
+  primary.PutN(30, "v1");
+  const auto checkpoint = primary.db.TakeCheckpoint();
+  ASSERT_GT(checkpoint.lsn, 0u);
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (primary.primary.propagator()->position() < checkpoint.lsn) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(1ms);
+  }
+  const Timestamp last = primary.PutN(30, "v2");
+
+  engine::Database db(engine::DatabaseOptions{1, "recovered"});
+  auto installed = db.InstallCheckpoint(checkpoint);
+  ASSERT_TRUE(installed.ok()) << installed.status();
+  Secondary secondary(&db);
+  secondary.InitializeSeq(checkpoint.as_of, *installed);
+  secondary.Start();
+  ReplicationReceiver::Options o;
+  o.primary_port = primary.listener.port();
+  o.from_lsn = checkpoint.lsn;
+  ReplicationReceiver receiver(secondary.update_queue(), o);
+  receiver.Start();
+
+  ASSERT_TRUE(secondary.WaitForSeq(last, 5000ms));
+  EXPECT_EQ(db.ContentHash(), primary.db.ContentHash());
+  EXPECT_EQ(receiver.stats().reconnects, 0u);
+  receiver.Stop();
+  secondary.Stop();
+}
+
+TEST(TcpReplicationTest, RestartAfterStopResumesDelivery) {
+  // A stopped receiver keeps its position: the restart re-HELLOs there and
+  // the replay overlap is dropped by seq, never applied twice.
+  PrimaryProc primary;
+  SecondaryProc secondary(primary.listener.port());
+  Timestamp last = primary.PutN(20, "v1");
+  ASSERT_TRUE(secondary.secondary.WaitForSeq(last, 5000ms));
+
+  secondary.receiver.Stop();
+  last = primary.PutN(20, "v2");
+  secondary.receiver.Start();
+  ASSERT_TRUE(secondary.secondary.WaitForSeq(last, 5000ms));
+  EXPECT_EQ(secondary.db.StateHash(), primary.db.StateHash());
+  secondary.receiver.Stop();
+  EXPECT_EQ(secondary.receiver.stats().records_delivered,
+            primary.primary.propagator()->records_broadcast());
+}
+
+/// Runs `n` single-key updates through a fault-injected listener and checks
+/// that the secondary converges with every record delivered exactly once.
+/// One record per frame, so every record draws its own faults.
+void ExpectFaultsRepaired(const FaultProfile& faults, std::uint64_t seed,
+                          int n, ReplicationListener::Stats* listener_stats,
+                          ReplicationReceiver::Stats* receiver_stats) {
+  ReplicationListener::Options lo;
+  lo.max_batch_records = 1;
+  lo.faults = faults;
+  lo.fault_seed = seed;
+  PrimaryProc primary(lo);
+  SecondaryProc secondary(primary.listener.port());
+  Timestamp last = 0;
+  for (int i = 0; i < n; ++i) {
+    auto t = primary.db.Begin();
+    ASSERT_TRUE(t->Put("k" + std::to_string(i % 11), std::to_string(i)).ok());
+    ASSERT_TRUE(t->Commit().ok());
+    last = t->commit_ts();
+  }
+  ASSERT_TRUE(secondary.secondary.WaitForSeq(last, 30000ms));
+  EXPECT_EQ(secondary.db.StateHash(), primary.db.StateHash());
+  secondary.receiver.Stop();  // settles the counters of the last record
+  *receiver_stats = secondary.receiver.stats();
+  *listener_stats = primary.listener.stats();
+  EXPECT_EQ(receiver_stats->records_delivered,
+            primary.primary.propagator()->records_broadcast());
+}
+
+TEST(TcpReplicationTest, DroppedAndDuplicatedFramesAreRepaired) {
+  FaultProfile faults;
+  faults.drop_probability = 0.20;
+  faults.duplicate_probability = 0.10;
+  ReplicationListener::Stats ls;
+  ReplicationReceiver::Stats rs;
+  ExpectFaultsRepaired(faults, 7, 200, &ls, &rs);
+  // Every drop cut the connection and was repaired by a resync; every
+  // duplicated frame was dropped record by record.
+  EXPECT_GT(ls.faults.dropped, 0u);
+  EXPECT_GT(ls.faults.duplicated, 0u);
+  EXPECT_GT(rs.reconnects, 0u);
+  EXPECT_GT(rs.duplicates_dropped, 0u);
+}
+
+TEST(TcpReplicationTest, CorruptFramesAreRejectedByCrcAndRepaired) {
+  FaultProfile faults;
+  faults.corrupt_probability = 0.15;
+  ReplicationListener::Stats ls;
+  ReplicationReceiver::Stats rs;
+  ExpectFaultsRepaired(faults, 21, 150, &ls, &rs);
+  EXPECT_GT(ls.faults.corrupted, 0u);
+  EXPECT_GT(rs.crc_rejected, 0u);
+  EXPECT_GT(rs.reconnects, 0u);
+}
+
+TEST(TcpReplicationTest, EverythingAtOnceConverges) {
+  FaultProfile faults;
+  faults.drop_probability = 0.08;
+  faults.duplicate_probability = 0.05;
+  faults.corrupt_probability = 0.05;
+  faults.disconnect_probability = 0.002;
+  ReplicationListener::Stats ls;
+  ReplicationReceiver::Stats rs;
+  ExpectFaultsRepaired(faults, 77, 250, &ls, &rs);
+  EXPECT_GT(rs.reconnects, 0u);
+}
+
 TEST(TcpReplicationTest, ReceiverOutlivesLateListener) {
   // Receiver started before the primary listens: the dial loop must keep
   // retrying until the listener appears (process start-order independence).
@@ -152,14 +292,14 @@ TEST(TcpReplicationTest, ReceiverOutlivesLateListener) {
 }
 
 TEST(TcpReplicationTest, BatchingDifferentialConvergesToIdenticalState) {
-  // Same workload over both wire shapes — coalesced BATCH frames and the
-  // PR 8 one-DATA-frame-per-record mode — must materialize the same
-  // database. The workload commits before the secondary attaches, so the
-  // replay burst is what crosses the wire and batching has runs to coalesce.
+  // Same workload over both frame fills — coalesced BATCH frames and one
+  // record per frame — must materialize the same database. The workload
+  // commits before the secondary attaches, so the replay burst is what
+  // crosses the wire and batching has runs to coalesce.
   ReplicationListener::Options batched;
   batched.batch_flush_interval = 10ms;
   ReplicationListener::Options unbatched;
-  unbatched.batching = false;
+  unbatched.max_batch_records = 1;
 
   PrimaryProc p_on(batched);
   PrimaryProc p_off(unbatched);
@@ -173,16 +313,12 @@ TEST(TcpReplicationTest, BatchingDifferentialConvergesToIdenticalState) {
 
   EXPECT_EQ(s_on.db.StateHash(), p_on.db.StateHash());
   EXPECT_EQ(s_off.db.StateHash(), p_off.db.StateHash());
-  // Identical workloads, identical state — across the wire shapes too.
+  // Identical workloads, identical state — across the frame fills too.
   EXPECT_EQ(s_on.db.StateHash(), s_off.db.StateHash());
 
   const auto on = p_on.listener.stats();
   const auto off = p_off.listener.stats();
   EXPECT_EQ(on.records_streamed, off.records_streamed);
-  // Batching mode emits only BATCH frames; legacy mode none.
-  EXPECT_GT(on.batch_frames_sent, 0u);
-  EXPECT_EQ(on.batch_frames_sent, on.frames_sent);
-  EXPECT_EQ(off.batch_frames_sent, 0u);
   EXPECT_EQ(off.frames_sent, off.records_streamed);
   // The point of the exercise: the replay burst coalesces, so the batched
   // wire moves the same records in far fewer frames (and fewer syscalls —
@@ -192,13 +328,13 @@ TEST(TcpReplicationTest, BatchingDifferentialConvergesToIdenticalState) {
 
 TEST(TcpReplicationTest, CutStormConvergesWithBatchingOnAndOff) {
   // Chaos row for the batched wire: repeated mid-stream connection cuts
-  // force reconnect + sync-point replay + dedup, under both wire shapes.
-  // Whatever mix of BATCH/DATA frames and replay overlap results, the
-  // secondary must land on the primary's exact state.
-  for (const bool batching : {true, false}) {
-    SCOPED_TRACE(batching ? "batching=on" : "batching=off");
+  // force reconnect + sync-point replay + dedup, whether frames carry runs
+  // of records or one each. Whatever replay overlap results, the secondary
+  // must land on the primary's exact state.
+  for (const std::size_t batch : {std::size_t{128}, std::size_t{1}}) {
+    SCOPED_TRACE("max_batch_records=" + std::to_string(batch));
     ReplicationListener::Options lo;
-    lo.batching = batching;
+    lo.max_batch_records = batch;
     PrimaryProc primary(lo);
     SecondaryProc secondary(primary.listener.port());
 
@@ -219,10 +355,10 @@ TEST(TcpReplicationTest, CutStormConvergesWithBatchingOnAndOff) {
 
 /// Reads the receiver's HELLO off a fake-primary socket and returns the
 /// stream position it expects.
-std::uint64_t ReadHelloExpected(FramedSocket* peer) {
+std::uint64_t ReadHelloExpected(net::FramedSocket* peer) {
   auto hello = peer->Recv();
   EXPECT_TRUE(hello.has_value());
-  if (!hello.has_value()) return 0;
+  if (!hello.has_value() || !UnsealReplFrame(&*hello)) return 0;
   EXPECT_EQ((*hello)[0], kReplHelloTag);
   std::size_t off = 1;
   std::uint64_t expected = 0;
@@ -235,14 +371,17 @@ std::uint64_t ReadHelloExpected(FramedSocket* peer) {
 std::string WelcomeAndBatch(std::uint64_t base, std::uint64_t n) {
   std::string welcome(1, kReplWelcomeTag);
   PutVarint(&welcome, base);
+  SealReplFrame(&welcome);
   std::string wire;
-  AppendTcpFrame(&wire, welcome);
+  net::AppendTcpFrame(&wire, welcome);
   std::vector<PropagationRecord> records;
   records.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     records.push_back(PropStart{base + i + 1, base + i + 1, base + i});
   }
-  AppendTcpFrame(&wire, EncodeBatchFramePayload(records));
+  std::string batch = EncodeBatchFramePayload(records);
+  SealReplFrame(&batch);
+  net::AppendTcpFrame(&wire, batch);
   return wire;
 }
 
@@ -255,7 +394,7 @@ TEST(TcpReplicationTest, ReceiverSurvivesPeerResetDuringBatchApply) {
   // reconnect replay redelivers it — instead of crashing on the dead
   // connection.
   std::uint16_t port = 0;
-  const int lfd = ListenOn("127.0.0.1", 0, &port);
+  const int lfd = net::ListenOn("127.0.0.1", 0, &port);
   ASSERT_GE(lfd, 0);
 
   BlockingQueue<PropagationRecord> sink;
@@ -270,11 +409,11 @@ TEST(TcpReplicationTest, ReceiverSurvivesPeerResetDuringBatchApply) {
   receiver.Start();
 
   for (int round = 0; round < 8; ++round) {
-    const int cfd = AcceptOn(lfd);
+    const int cfd = net::AcceptOn(lfd);
     ASSERT_GE(cfd, 0);
-    FramedSocket peer(cfd);
+    net::FramedSocket peer(cfd);
     const std::uint64_t base = ReadHelloExpected(&peer);
-    ASSERT_TRUE(SendAll(peer.fd(), WelcomeAndBatch(base, 4096)));
+    ASSERT_TRUE(net::SendAll(peer.fd(), WelcomeAndBatch(base, 4096)));
     // Reset, not FIN: queued data stays deliverable, but the receiver's
     // in-batch ACK writes start failing the instant the RST lands — for
     // most rounds, mid-apply.
@@ -287,11 +426,11 @@ TEST(TcpReplicationTest, ReceiverSurvivesPeerResetDuringBatchApply) {
 
   // Survival check: the receiver still redials and applies a cleanly
   // delivered tail to completion.
-  const int cfd = AcceptOn(lfd);
+  const int cfd = net::AcceptOn(lfd);
   ASSERT_GE(cfd, 0);
-  FramedSocket peer(cfd);
+  net::FramedSocket peer(cfd);
   const std::uint64_t base = ReadHelloExpected(&peer);
-  ASSERT_TRUE(SendAll(peer.fd(), WelcomeAndBatch(base, 8)));
+  ASSERT_TRUE(net::SendAll(peer.fd(), WelcomeAndBatch(base, 8)));
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   while (receiver.next_expected() < base + 8) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)

@@ -1,15 +1,15 @@
-// Fuzz coverage for the propagation wire codec. With the chaos transport,
-// DecodeRecord parses bytes that crossed a link which corrupts frames on
-// purpose, so the codec is on a trust boundary inside our own test rig —
-// not just in a hypothetical networked deployment. Seeded mutations of
-// valid encodings plus a directed corpus for the historic decoder bugs.
+// Fuzz coverage for the propagation wire codec. DecodeRecord parses bytes
+// that crossed a socket — in the fault suites, one whose frames are
+// corrupted on purpose — so the codec sits on a trust boundary. Seeded
+// mutations of valid encodings plus a directed corpus for the historic
+// decoder bugs.
 
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "common/random.h"
-#include "replication/tcp_link.h"
+#include "net/framed_socket.h"
 #include "replication/tcp_replication.h"
 #include "replication/wire.h"
 
@@ -178,11 +178,11 @@ TEST(WireFuzzTest, TruncatedHugeLengthStopsAtBufferEnd) {
 
 // --- TCP length-prefixed framing corpus ---
 //
-// The TCP transport wraps every ReliableChannel frame in a 4-byte length
-// prefix; TcpFramer reassembles them from arbitrary socket fragmentation.
-// Same trust boundary as the record codec: the prefix crosses the wire
-// unprotected (the CRC covers only the payload), so a flipped length bit
-// must never crash, over-allocate, or desynchronize silently.
+// Every TCP frame carries a 4-byte length prefix; TcpFramer reassembles
+// frames from arbitrary socket fragmentation. Same trust boundary as the
+// record codec: the prefix crosses the wire unprotected (the CRC covers only
+// the payload), so a flipped length bit must never crash, over-allocate, or
+// desynchronize silently.
 
 TEST(WireFuzzTest, TcpFramingSurvivesRandomFragmentation) {
   Rng rng(9090);
@@ -193,10 +193,10 @@ TEST(WireFuzzTest, TcpFramingSurvivesRandomFragmentation) {
     for (std::uint64_t f = 0; f < n_frames; ++f) {
       std::string p(rng.Next(512), '\0');
       for (auto& c : p) c = static_cast<char>(rng.Next(256));
-      AppendTcpFrame(&wire, p);
+      net::AppendTcpFrame(&wire, p);
       payloads.push_back(std::move(p));
     }
-    TcpFramer framer;
+    net::TcpFramer framer;
     std::vector<std::string> out;
     std::size_t offset = 0;
     while (offset < wire.size()) {
@@ -216,9 +216,9 @@ TEST(WireFuzzTest, TcpFramingTruncatedPrefixNeverYieldsAFrame) {
   // A connection that dies mid-prefix (the kill -9 case) must leave the
   // framer waiting, not emitting a garbage frame.
   std::string wire;
-  AppendTcpFrame(&wire, "payload");
+  net::AppendTcpFrame(&wire, "payload");
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-    TcpFramer framer;
+    net::TcpFramer framer;
     ASSERT_TRUE(framer.Feed(std::string_view(wire).substr(0, cut)));
     EXPECT_FALSE(framer.Next().has_value()) << "cut=" << cut;
     EXPECT_FALSE(framer.poisoned()) << "cut=" << cut;
@@ -232,10 +232,10 @@ TEST(WireFuzzTest, TcpFramingOversizedLengthPoisonsWithoutAllocating) {
   Rng rng(4321);
   for (int trial = 0; trial < 100; ++trial) {
     std::string wire;
-    AppendTcpFrame(&wire, "tiny");
+    net::AppendTcpFrame(&wire, "tiny");
     // Force the top byte high: lengths >= 2^24 always exceed the clamp.
     wire[3] = static_cast<char>(1 + rng.Next(255));
-    TcpFramer framer;
+    net::TcpFramer framer;
     framer.Feed(wire);
     EXPECT_FALSE(framer.Next().has_value());
     EXPECT_TRUE(framer.poisoned());
@@ -250,11 +250,11 @@ TEST(WireFuzzTest, TcpFramingMidFrameCloseLeavesCleanRemainder) {
   // is delivered, the partial one is reported as buffered residue (the
   // transport counts it as lost in flight), and nothing crashes.
   std::string wire;
-  AppendTcpFrame(&wire, "complete");
+  net::AppendTcpFrame(&wire, "complete");
   std::string second;
-  AppendTcpFrame(&second, std::string(100, 'z'));
+  net::AppendTcpFrame(&second, std::string(100, 'z'));
   for (std::size_t cut = 1; cut < second.size(); ++cut) {
-    TcpFramer framer;
+    net::TcpFramer framer;
     ASSERT_TRUE(framer.Feed(wire));
     ASSERT_TRUE(framer.Feed(std::string_view(second).substr(0, cut)));
     auto first = framer.Next();
@@ -285,9 +285,9 @@ TEST(WireFuzzTest, BatchFrameRoundTripsThroughRandomFragmentation) {
     for (std::uint64_t f = 0; f < n_frames; ++f) {
       payloads.push_back(
           EncodeBatchFramePayload(RandomBatch(&rng, 1 + rng.Next(8))));
-      AppendTcpFrame(&wire, payloads.back());
+      net::AppendTcpFrame(&wire, payloads.back());
     }
-    TcpFramer framer;
+    net::TcpFramer framer;
     std::vector<std::string> out;
     std::size_t offset = 0;
     while (offset < wire.size()) {
@@ -382,14 +382,43 @@ TEST(WireFuzzTest, BatchFrameTrailingGarbageRejected) {
   EXPECT_FALSE(DecodeBatchFramePayload(payload, &offset, &records));
 }
 
+TEST(WireFuzzTest, BatchFrameAnySingleFlippedByteIsRejected) {
+  // The codec alone accepts many damaged frames — a flipped byte inside a
+  // key or value still decodes — so the receiver must never see one. Flip
+  // each byte of a sealed BATCH frame on the wire, length prefix and CRC
+  // trailer included: the framer either yields nothing or a frame that
+  // fails its CRC.
+  Rng rng(9004);
+  std::string payload = EncodeBatchFramePayload(RandomBatch(&rng, 6));
+  SealReplFrame(&payload);
+  std::string wire;
+  net::AppendTcpFrame(&wire, payload);
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    std::string damaged = wire;
+    damaged[i] ^= static_cast<char>(1 + rng.Next(255));
+    net::TcpFramer framer;
+    framer.Feed(damaged);
+    auto frame = framer.Next();
+    if (frame.has_value()) {
+      EXPECT_FALSE(UnsealReplFrame(&*frame)) << "flipped byte " << i;
+    }
+  }
+  std::string intact = payload;
+  ASSERT_TRUE(UnsealReplFrame(&intact));
+  std::size_t offset = 0;
+  std::vector<PropagationRecord> records;
+  EXPECT_TRUE(DecodeBatchFramePayload(intact, &offset, &records));
+  EXPECT_EQ(records.size(), 6u);
+}
+
 TEST(WireFuzzTest, BatchFrameOversizedLengthPrefixPoisons) {
   // Same clamp as every other frame: a corrupted length prefix on a BATCH
   // frame poisons the framer before any payload is buffered.
   Rng rng(8003);
   std::string wire;
-  AppendTcpFrame(&wire, EncodeBatchFramePayload(RandomBatch(&rng, 4)));
+  net::AppendTcpFrame(&wire, EncodeBatchFramePayload(RandomBatch(&rng, 4)));
   wire[3] = static_cast<char>(0x7f);  // claimed length >= 2^23
-  TcpFramer framer;
+  net::TcpFramer framer;
   framer.Feed(wire);
   EXPECT_FALSE(framer.Next().has_value());
   EXPECT_TRUE(framer.poisoned());

@@ -5,7 +5,7 @@
 #include <string>
 #include <thread>
 
-#include "replication/framed_socket.h"
+#include "net/framed_socket.h"
 #include "system/site_server.h"
 #include "system/wire_api.h"
 
@@ -22,7 +22,7 @@ TEST(SiteServerBackpressureTest, PipelinedFloodPausesReadsAndStillAnswersAll) {
   // without bound — and every request must still be answered, in order,
   // once the workers catch up.
   std::uint16_t silent_port = 0;
-  const int silent = replication::ListenOn("127.0.0.1", 0, &silent_port);
+  const int silent = net::ListenOn("127.0.0.1", 0, &silent_port);
   ASSERT_GE(silent, 0);  // bound but never accepted: calm, futile dials
 
   SiteServer::Options o;
@@ -35,9 +35,9 @@ TEST(SiteServerBackpressureTest, PipelinedFloodPausesReadsAndStillAnswersAll) {
   SiteServer server(o);
   ASSERT_TRUE(server.Start().ok());
 
-  const int cfd = replication::DialTcp("127.0.0.1", server.client_port());
+  const int cfd = net::DialTcp("127.0.0.1", server.client_port());
   ASSERT_GE(cfd, 0);
-  replication::FramedSocket client(cfd);
+  net::FramedSocket client(cfd);
 
   // Request 1 parks the only worker on the freshness wait (nothing ever
   // replicates here, so it blocks for the whole read_block_timeout)...

@@ -332,7 +332,7 @@ TEST_F(ProcClusterTest, PrimaryKillNineRecoversAckedCommits) {
   // above everything restored; the session carries its seq across.
   PutN(&primary2, &session, 10, "v", 40);
 
-  // The surviving secondary resyncs through the reliable channel's
+  // The surviving secondary resyncs through the replication stream's
   // reconnect handshake and converges on the full 50-key state.
   RemoteSite replica;
   ASSERT_TRUE(replica.Connect("127.0.0.1", sec.client_port()).ok());

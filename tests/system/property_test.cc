@@ -41,8 +41,8 @@ struct PropertyParams {
   /// partition_replication replicas per partition. 1/0 = full replication.
   std::size_t num_partitions = 1;
   std::size_t partition_replication = 0;
-  /// Ship propagation over real loopback TCP sockets (TcpLink +
-  /// ReliableChannel) instead of in-process queues.
+  /// Ship propagation over the replication stream on loopback TCP
+  /// instead of in-process queues.
   bool transport_tcp = false;
 };
 

@@ -9,7 +9,7 @@
 #include <chrono>
 #include <gtest/gtest.h>
 
-#include "replication/framed_socket.h"
+#include "net/framed_socket.h"
 #include "system/remote_client.h"
 
 namespace lazysi {
@@ -24,7 +24,7 @@ TEST(RemoteTimeoutTest, SilentListenerYieldsTimedOutWithinDeadline) {
   // the backlog, so Connect succeeds — then the Get's reply never comes.
   // Before op_timeout existed this blocked in recv() forever.
   std::uint16_t port = 0;
-  const int listen_fd = replication::ListenOn("127.0.0.1", 0, &port);
+  const int listen_fd = net::ListenOn("127.0.0.1", 0, &port);
   ASSERT_GE(listen_fd, 0);
 
   RemoteSite site;
@@ -50,7 +50,7 @@ TEST(RemoteTimeoutTest, ConnectRetriesAreBoundedAndBackedOff) {
   // Grab an ephemeral port and release it: nothing listens there, so every
   // dial fails fast with ECONNREFUSED and the retry loop carries the delay.
   std::uint16_t port = 0;
-  const int fd = replication::ListenOn("127.0.0.1", 0, &port);
+  const int fd = net::ListenOn("127.0.0.1", 0, &port);
   ASSERT_GE(fd, 0);
   ::close(fd);
 
@@ -77,7 +77,7 @@ TEST(RemoteTimeoutTest, ConnectRetriesAreBoundedAndBackedOff) {
 
 TEST(RemoteTimeoutTest, SingleAttemptFailsWithoutSleeping) {
   std::uint16_t port = 0;
-  const int fd = replication::ListenOn("127.0.0.1", 0, &port);
+  const int fd = net::ListenOn("127.0.0.1", 0, &port);
   ASSERT_GE(fd, 0);
   ::close(fd);
 

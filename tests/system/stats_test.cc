@@ -57,9 +57,10 @@ TEST(SystemStatsTest, FailedSecondaryMarked) {
 }
 
 TEST(SystemStatsTest, WireVolumeCountersSurfaceOverChaosTransport) {
-  // The byte-link counts frames/bytes in both directions of the delivery
-  // pipeline; the stats layer must surface them per secondary and render
-  // them in ToString so wire volume is observable without a debugger.
+  // The replication stream counts frames/bytes at both ends of the
+  // delivery pipeline; the stats layer must surface them per secondary and
+  // render them in ToString so wire volume is observable without a
+  // debugger.
   SystemConfig config;
   config.num_secondaries = 2;
   config.transport_faults.drop_probability = 0.05;
