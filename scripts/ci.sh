@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Full CI sweep: tier-1 tests, ThreadSanitizer and Address+UB Sanitizer
-# presets, and a benchmark regression check against the committed baselines.
+# presets, the end-to-end benchmark's self-tests and smoke runs, and a
+# benchmark regression check against the committed baselines.
 #
 # Usage: scripts/ci.sh [stage...]
-#   stages: tier1 proc crash tsan asan bench-check
-#   (default: all six, in order)
+#   stages: tier1 proc crash e2e tsan asan bench-check
+#   (default: all seven, in order)
 #
 # Environment:
 #   JOBS            parallel build/test width (default: nproc)
@@ -21,7 +22,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 JOBS=${JOBS:-$(nproc 2>/dev/null || echo 4)}
-STAGES=${*:-"tier1 proc crash tsan asan bench-check"}
+STAGES=${*:-"tier1 proc crash e2e tsan asan bench-check"}
 
 run_preset() {
   preset=$1
@@ -72,6 +73,25 @@ for stage in $STAGES; do
       GTEST_FILTER="ProcClusterTest.PrimaryKillNineRecoversAckedCommits" \
         ctest --test-dir build -R system_proc_test --output-on-failure \
         --timeout 120
+      ;;
+    e2e)
+      # End-to-end deployment on real processes. bench/e2e/run.sh builds
+      # the Release tree in build-e2e/ (lazysi_server + the load driver)
+      # and then hands its arguments to the driver; given none, the driver
+      # prints its usage and exits 2, so this only builds (a failed build
+      # exits 1 with the build log's tail). ctest then runs the driver's
+      # self-tests and 3 s smoke runs of shop, browse, ingest and traced
+      # shop, each passing only on '"correct": true' — every site's content
+      # hash equal, no stream reconnect — which gates the pipelined client
+      # write path against real site servers.
+      rc=0
+      log=$(bench/e2e/run.sh 2>&1) || rc=$?
+      if [ "$rc" -ne 2 ]; then
+        echo "$log" >&2
+        echo "ci.sh: building build-e2e/ failed" >&2
+        exit 1
+      fi
+      ctest --test-dir build-e2e --output-on-failure
       ;;
     tsan)
       run_preset tsan

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -31,16 +32,59 @@ constexpr std::array<std::uint32_t, 256> MakeTable() {
 
 inline constexpr std::array<std::uint32_t, 256> kTable = MakeTable();
 
+/// Byte-at-a-time table CRC-32C: the portable path, and the reference the
+/// hardware path is tested against.
+inline std::uint32_t TableCrc32c(std::string_view data, std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (unsigned char c : data) {
+    crc = kTable[(crc ^ c) & 0xff] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+#if defined(__x86_64__)
+/// SSE4.2 `crc32` instruction, 8 bytes per step. Callers must check
+/// HardwareCrc32cAvailable() first.
+__attribute__((target("sse4.2"))) inline std::uint32_t HardwareCrc32c(
+    std::string_view data, std::uint32_t seed) {
+  std::uint64_t crc = ~seed;
+  std::size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data.data() + i, sizeof(word));
+    crc = __builtin_ia32_crc32di(crc, word);
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  for (; i < data.size(); ++i) {
+    crc32 = __builtin_ia32_crc32qi(crc32, static_cast<unsigned char>(data[i]));
+  }
+  return ~crc32;
+}
+
+inline bool HardwareCrc32cAvailable() {
+  // __builtin_cpu_init makes the probe safe from static initializers too.
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return available;
+}
+#else
+inline bool HardwareCrc32cAvailable() { return false; }
+#endif
+
 }  // namespace crc32_internal
 
 /// CRC-32C of `data`; pass a previous result as `seed` to extend a running
-/// checksum over multiple chunks.
+/// checksum over multiple chunks. Uses the SSE4.2 instruction when the CPU
+/// has it, the byte table otherwise; both give identical results.
 inline std::uint32_t Crc32c(std::string_view data, std::uint32_t seed = 0) {
-  std::uint32_t crc = ~seed;
-  for (unsigned char c : data) {
-    crc = crc32_internal::kTable[(crc ^ c) & 0xff] ^ (crc >> 8);
+#if defined(__x86_64__)
+  if (crc32_internal::HardwareCrc32cAvailable()) {
+    return crc32_internal::HardwareCrc32c(data, seed);
   }
-  return ~crc;
+#endif
+  return crc32_internal::TableCrc32c(data, seed);
 }
 
 /// Appends `crc` to `out` as 4 little-endian bytes (the wire frame trailer).

@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 
 namespace lazysi {
@@ -26,6 +25,21 @@ bool FillAddr(const std::string& host, std::uint16_t port,
     return true;
   }
   return ::inet_pton(AF_INET, host.c_str(), &addr->sin_addr) == 1;
+}
+
+/// Polls `fd` for `events` until `deadline`: 1 when ready, 0 when the
+/// deadline passed first, -1 on a poll error.
+int PollUntil(int fd, short events,
+              std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return 0;
+    pollfd pfd{fd, events, 0};
+    const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (rc < 0 && errno == EINTR) continue;
+    return rc < 0 ? -1 : (rc == 0 ? 0 : 1);
+  }
 }
 
 }  // namespace
@@ -126,18 +140,8 @@ int DialTcp(const std::string& host, std::uint16_t port,
   const int fd = StartDialTcp(host, port, &in_progress);
   if (fd < 0) return -1;
   if (in_progress) {
-    pollfd pfd{fd, POLLOUT, 0};
-    int rc;
     const auto deadline = std::chrono::steady_clock::now() + timeout;
-    for (;;) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      rc = ::poll(&pfd, 1, static_cast<int>(std::max<std::int64_t>(
-                               0, left.count())));
-      if (rc < 0 && errno == EINTR) continue;
-      break;
-    }
-    if (rc <= 0 || !FinishDial(fd)) {
+    if (PollUntil(fd, POLLOUT, deadline) <= 0 || !FinishDial(fd)) {
       ::close(fd);
       return -1;
     }
@@ -172,11 +176,35 @@ bool SendAll(int fd, std::string_view bytes) {
 }
 
 bool FramedSocket::Send(std::string_view payload) {
-  if (fd_ < 0) return false;
   std::string wire;
   wire.reserve(payload.size() + 4);
   AppendTcpFrame(&wire, payload);
-  return SendAll(fd_, wire);
+  return SendFramed(wire);
+}
+
+bool FramedSocket::SendFramed(std::string_view wire) {
+  send_timed_out_ = false;
+  if (fd_ < 0) return false;
+  if (send_timeout_.count() <= 0) return SendAll(fd_, wire);
+  const auto deadline = std::chrono::steady_clock::now() + send_timeout_;
+  std::size_t off = 0;
+  while (off < wire.size()) {
+    const ssize_t n = ::send(fd_, wire.data() + off, wire.size() - off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      off += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    // Socket buffer full: wait for room, but only until the deadline.
+    const int ready = PollUntil(fd_, POLLOUT, deadline);
+    if (ready <= 0) {
+      send_timed_out_ = ready == 0;
+      return false;
+    }
+  }
+  return true;
 }
 
 std::optional<std::string> FramedSocket::Recv() {
@@ -188,20 +216,9 @@ std::optional<std::string> FramedSocket::Recv() {
     if (auto frame = framer_.Next()) return frame;
     if (framer_.poisoned()) return std::nullopt;
     if (deadline_set) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
-        timed_out_ = true;
-        return std::nullopt;
-      }
-      pollfd pfd{fd_, POLLIN, 0};
-      const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()));
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        return std::nullopt;
-      }
-      if (rc == 0) {
-        timed_out_ = true;
+      const int ready = PollUntil(fd_, POLLIN, deadline);
+      if (ready <= 0) {
+        timed_out_ = ready == 0;
         return std::nullopt;
       }
     }

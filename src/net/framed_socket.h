@@ -136,8 +136,9 @@ bool SendAll(int fd, std::string_view bytes);
 
 /// One connected socket carrying length-prefixed frames (AppendTcpFrame /
 /// TcpFramer) in both directions. Owns the fd: closes it on destruction.
-/// Send and Recv are each single-caller (one writer thread, one reader
-/// thread); ShutdownNow may be called from anywhere to wake the reader.
+/// Sending (Send, SendFramed) and Recv are each single-caller (one writer
+/// thread, one reader thread); ShutdownNow may be called from anywhere to
+/// wake the reader.
 class FramedSocket {
  public:
   explicit FramedSocket(int fd) : fd_(fd) {}
@@ -149,8 +150,14 @@ class FramedSocket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Sends one frame; false on a dead peer.
+  /// Sends one frame; false on a dead peer or — when a send timeout is
+  /// set — deadline expiry (check send_timed_out()).
   bool Send(std::string_view payload);
+
+  /// Sends bytes that are already framed (one or more AppendTcpFrame
+  /// frames back to back, e.g. a pipelined batch of requests); same
+  /// failure semantics as Send.
+  bool SendFramed(std::string_view wire);
 
   /// Blocks for the next complete frame; nullopt on EOF, error, a
   /// poisoned frame stream (oversized length prefix), or — when a recv
@@ -164,9 +171,21 @@ class FramedSocket {
     recv_timeout_ = timeout;
   }
 
+  /// Per-send deadline; zero (the default) blocks forever. Applies to the
+  /// whole buffer: a peer that stops reading (its receive window and our
+  /// send buffer full) fails the send once the window passes instead of
+  /// blocking it forever.
+  void set_send_timeout(std::chrono::milliseconds timeout) {
+    send_timeout_ = timeout;
+  }
+
   /// True when the last Recv returned nullopt because the deadline
   /// expired rather than because the peer vanished.
   bool timed_out() const { return timed_out_; }
+
+  /// The same for the last send (kept apart: the sender and the reader may
+  /// be different threads).
+  bool send_timed_out() const { return send_timed_out_; }
 
   /// Wakes a blocked Recv/Send with EOF/EPIPE without closing the fd.
   void ShutdownNow();
@@ -177,7 +196,9 @@ class FramedSocket {
   int fd_;
   TcpFramer framer_;
   std::chrono::milliseconds recv_timeout_{0};
+  std::chrono::milliseconds send_timeout_{0};
   bool timed_out_ = false;
+  bool send_timed_out_ = false;
   char buf_[64 * 1024];
 };
 

@@ -18,6 +18,14 @@ namespace {
 
 using namespace wire_api;
 
+/// A pump writes its coalesced replies once they reach this size, even
+/// mid-burst.
+constexpr std::size_t kMaxCoalescedReplyBytes = 64 * 1024;
+
+// A client's full write window must never trip the default read pause.
+static_assert(2 * kMaxPipelinedWrites <=
+              SiteServer::Options{}.max_pending_requests);
+
 engine::DatabaseOptions DbOptionsFor(const SiteServer::Options& options) {
   engine::DatabaseOptions db;
   db.site_id = options.site_id;
@@ -314,7 +322,28 @@ void SiteServer::OnClientClosed(const std::shared_ptr<ClientConn>& conn) {
   if (schedule) work_q_.Push([this, conn] { PumpClient(conn); });
 }
 
+bool SiteServer::MayBlock(const std::string& request) const {
+  if (request.empty()) return false;
+  switch (request[0]) {
+    case kOpBegin:
+    case kOpWaitSeq:
+      return options_.role == Role::kSecondary;  // the freshness rule
+    case kOpCommit:
+      return durable_log_ != nullptr;  // the ack waits for the fsync
+    default:
+      return false;
+  }
+}
+
 void SiteServer::PumpClient(const std::shared_ptr<ClientConn>& conn) {
+  // Replies to one drained burst go out as one Connection::Write. They are
+  // written early at kMaxCoalescedReplyBytes, and before any request that
+  // can block, so a parked begin never holds earlier replies back.
+  std::string replies;
+  auto flush = [&] {
+    conn->nc->Write(std::move(replies));
+    replies.clear();
+  };
   for (;;) {
     std::string request;
     bool have = false;
@@ -330,12 +359,19 @@ void SiteServer::PumpClient(const std::shared_ptr<ClientConn>& conn) {
           conn->read_paused = false;
           resume = true;
         }
-      } else if (!conn->closed) {
+      } else if (!conn->closed && replies.empty()) {
         conn->running = false;
         return;
       }
     }
     if (resume) conn->nc->PauseReads(false);
+    if (!have && !replies.empty()) {
+      // Burst drained. Write while still `running`, so the next worker to
+      // pump this connection cannot overtake these replies; then look for
+      // requests that arrived meanwhile.
+      flush();
+      continue;
+    }
     if (!have) {
       // Closed and drained: connection gone mid-transaction, abandon it.
       if (conn->txn) {
@@ -346,9 +382,9 @@ void SiteServer::PumpClient(const std::shared_ptr<ClientConn>& conn) {
       conn->running = false;
       return;
     }
-    std::string wire;
-    net::AppendTcpFrame(&wire, HandleRequest(request, &conn->txn));
-    conn->nc->Write(std::move(wire));
+    if (!replies.empty() && MayBlock(request)) flush();
+    net::AppendTcpFrame(&replies, HandleRequest(request, &conn->txn));
+    if (replies.size() >= kMaxCoalescedReplyBytes) flush();
   }
 }
 

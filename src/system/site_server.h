@@ -86,6 +86,9 @@ class SiteServer {
     /// backpressures the client), resuming once the workers drain the queue
     /// to half — the read-side counterpart of max_output_bytes, so a client
     /// pipelining faster than the worker pool cannot buffer unboundedly.
+    /// The default is at least twice RemoteSite's write window
+    /// (wire_api::kMaxPipelinedWrites), so a pipelining client's writes
+    /// never trip it.
     std::size_t max_pending_requests = 256;
   };
 
@@ -153,9 +156,13 @@ class SiteServer {
                      std::string_view bytes);
   void OnClientClosed(const std::shared_ptr<ClientConn>& conn);
   /// Worker task: drains the connection's pending requests in order, one
-  /// worker at a time per connection; aborts the in-flight transaction once
-  /// the connection is closed and drained.
+  /// worker at a time per connection, coalescing the burst's replies into
+  /// one write; aborts the in-flight transaction once the connection is
+  /// closed and drained.
   void PumpClient(const std::shared_ptr<ClientConn>& conn);
+  /// True for requests that can park the worker: begin/wait at a secondary
+  /// (the freshness rule) and commit at a durable primary (the fsync).
+  bool MayBlock(const std::string& request) const;
   /// Builds the reply frame for one request. `txn` is the connection's
   /// at-most-one in-flight transaction.
   std::string HandleRequest(const std::string& request,

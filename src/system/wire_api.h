@@ -14,7 +14,9 @@ namespace wire_api {
 /// Client <-> site-server protocol, one length-prefixed frame (framed_socket)
 /// per request and per reply. First byte of a request is the op tag; a reply
 /// is varint(status code) + string(message) followed by op-specific payload
-/// when OK. At most one transaction is in flight per connection.
+/// when OK. At most one transaction is in flight per connection. A server
+/// answers a connection's requests in order, so a client may send requests
+/// ahead of their replies (RemoteSite pipelines writes this way).
 ///
 ///   'B' ro(1) varint(min_seq)          -> varint(snapshot_prefix)
 ///   'G' str(key)                       -> str(value)
@@ -49,6 +51,13 @@ inline constexpr char kOpCommit = 'C';
 inline constexpr char kOpAbort = 'A';
 inline constexpr char kOpWaitSeq = 'W';
 inline constexpr char kOpStats = 'T';
+
+/// Write requests ('P', 'X') a client may send ahead of their replies:
+/// RemoteSite queues up to this many and then reads their replies together.
+/// The server reads up to SiteServer::Options::max_pending_requests (256 by
+/// default) unanswered requests per connection before it stops reading, so
+/// the window stays at half of that at most.
+inline constexpr std::size_t kMaxPipelinedWrites = 64;
 
 inline constexpr std::uint64_t kRolePrimary = 0;
 inline constexpr std::uint64_t kRoleSecondary = 1;

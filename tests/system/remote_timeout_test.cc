@@ -7,7 +7,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <future>
 #include <gtest/gtest.h>
+#include <string>
+#include <thread>
 
 #include "net/framed_socket.h"
 #include "system/remote_client.h"
@@ -43,6 +46,48 @@ TEST(RemoteTimeoutTest, SilentListenerYieldsTimedOutWithinDeadline) {
   EXPECT_LT(elapsed, milliseconds(5000));
   // The dead connection is discarded; the stub is reconnectable, not wedged.
   EXPECT_FALSE(site.connected());
+  ::close(listen_fd);
+}
+
+TEST(RemoteTimeoutTest, SendToWedgedPeerYieldsTimedOutWithinDeadline) {
+  // Listen but never accept: nobody reads the connection, so a request
+  // larger than both socket buffers can never drain. A 12 MiB value is
+  // above both (and below the 16 MiB frame cap). Before sends had a
+  // deadline the client blocked in send() forever.
+  std::uint16_t port = 0;
+  const int listen_fd = net::ListenOn("127.0.0.1", 0, &port);
+  ASSERT_GE(listen_fd, 0);
+
+  RemoteSite site;
+  RemoteSite::ConnectOptions options;
+  options.op_timeout = milliseconds(200);
+  ASSERT_TRUE(site.Connect("127.0.0.1", port, options).ok());
+
+  struct Outcome {
+    Status status;
+    bool connected;
+  };
+  std::promise<Outcome> done;
+  auto outcome = done.get_future();
+  const auto start = steady_clock::now();
+  std::thread caller([&] {
+    Status status = site.Put("k", std::string(12u << 20, 'v'));
+    if (status.ok()) status = site.Commit().status();
+    done.set_value({status, site.connected()});
+  });
+  if (outcome.wait_for(std::chrono::seconds(5)) !=
+      std::future_status::ready) {
+    // Closing the listener resets the unaccepted connection, which fails
+    // the stuck send: a hang becomes this failure, not a wedged binary.
+    ::close(listen_fd);
+    caller.join();
+    FAIL() << "send to a peer that never reads did not time out";
+  }
+  caller.join();
+  const Outcome result = outcome.get();
+  EXPECT_EQ(result.status.code(), StatusCode::kTimedOut) << result.status;
+  EXPECT_LT(steady_clock::now() - start, milliseconds(5000));
+  EXPECT_FALSE(result.connected);
   ::close(listen_fd);
 }
 
