@@ -1,5 +1,7 @@
 #include "replication/propagator.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace lazysi {
@@ -59,57 +61,69 @@ Result<std::uint64_t> Propagator::AttachSinkAt(
     base_seq = seq;
     base_lsn = lsn;
   }
-  for (std::size_t lsn = base_lsn; lsn < from_lsn; ++lsn) {
-    auto rec = log_->At(lsn);
-    if (!rec.has_value()) {
-      return Status::Internal("log truncated below propagator position");
+  // Both passes read the log in place, a bounded chunk per log-lock hold so
+  // a long replay never stalls the primary's appends for its whole length.
+  auto visit = [this](std::size_t from, std::size_t to, auto&& fn) -> Status {
+    for (std::size_t lsn = from; lsn < to;) {
+      const std::size_t n =
+          log_->Visit(lsn, std::min(to, lsn + kReplayChunk), fn);
+      if (n == 0) {
+        return Status::Internal("log truncated below propagator position");
+      }
+      lsn += n;
     }
-    if (rec->type != wal::LogRecordType::kUpdate) ++base_seq;
-  }
+    return Status::OK();
+  };
+  LAZYSI_RETURN_NOT_OK(
+      visit(base_lsn, from_lsn, [&base_seq](const wal::LogRecord& rec) {
+        if (rec.type != wal::LogRecordType::kUpdate) ++base_seq;
+      }));
   // Rebuild update lists from the log slice and emit the records this sink
   // missed. A commit whose start record is not inside the slice means the
   // checkpoint was not quiesced.
   std::map<TxnId, std::vector<storage::Write>> lists;
   std::vector<PropagationRecord> replay;
-  for (std::size_t lsn = from_lsn; lsn < upto; ++lsn) {
-    auto rec = log_->At(lsn);
-    if (!rec.has_value()) {
-      return Status::Internal("log truncated below propagator position");
-    }
-    switch (rec->type) {
+  Status quiesced = Status::OK();
+  LAZYSI_RETURN_NOT_OK(visit(from_lsn, upto, [&](const wal::LogRecord& rec) {
+    if (!quiesced.ok()) return;
+    switch (rec.type) {
       case wal::LogRecordType::kStart:
-        lists[rec->txn_id];  // mark txn as started inside the slice
+        lists[rec.txn_id];  // mark txn as started inside the slice
         replay.push_back(
-            PropStart{rec->txn_id, rec->timestamp, base_seq + replay.size()});
+            PropStart{rec.txn_id, rec.timestamp, base_seq + replay.size()});
         break;
-      case wal::LogRecordType::kUpdate:
-        if (!lists.count(rec->txn_id)) {
-          return Status::FailedPrecondition(
+      case wal::LogRecordType::kUpdate: {
+        auto it = lists.find(rec.txn_id);
+        if (it == lists.end()) {
+          quiesced = Status::FailedPrecondition(
               "checkpoint LSN is not quiesced: update of a transaction "
               "started before the checkpoint");
+          return;
         }
-        lists[rec->txn_id].push_back(storage::Write{
-            rec->key, rec->value, rec->deleted});
+        it->second.push_back(storage::Write{rec.key, rec.value, rec.deleted});
         break;
+      }
       case wal::LogRecordType::kCommit: {
-        auto it = lists.find(rec->txn_id);
+        auto it = lists.find(rec.txn_id);
         if (it == lists.end()) {
-          return Status::FailedPrecondition(
+          quiesced = Status::FailedPrecondition(
               "checkpoint LSN is not quiesced: commit of a transaction "
               "started before the checkpoint");
+          return;
         }
-        replay.push_back(PropCommit{rec->txn_id, rec->timestamp,
+        replay.push_back(PropCommit{rec.txn_id, rec.timestamp,
                                     std::move(it->second),
                                     base_seq + replay.size()});
         lists.erase(it);
         break;
       }
       case wal::LogRecordType::kAbort:
-        lists.erase(rec->txn_id);
-        replay.push_back(PropAbort{rec->txn_id, base_seq + replay.size()});
+        lists.erase(rec.txn_id);
+        replay.push_back(PropAbort{rec.txn_id, base_seq + replay.size()});
         break;
     }
-  }
+  }));
+  LAZYSI_RETURN_NOT_OK(quiesced);
   if (filter.active()) {
     for (auto& record : replay) FilterRecordInPlace(&record, filter);
   }
@@ -182,15 +196,16 @@ void Propagator::Run() {
     while (DrainBurst() > 0) drained_any = true;
     if (options_.batch_interval.count() == 0 && !drained_any) {
       // Continuous mode: block until the next record appears.
-      auto rec = log_->WaitAt(position_.load(std::memory_order_acquire),
-                              std::chrono::milliseconds(50));
-      if (rec.has_value() && options_.read_limit) {
+      const bool appended = log_->WaitForSize(
+          position_.load(std::memory_order_acquire) + 1,
+          std::chrono::milliseconds(50));
+      if (appended && options_.read_limit) {
         // The record exists but DrainBurst declined it: it is still behind
         // the durability barrier. Yield while the flush completes rather
-        // than spinning on WaitAt (which returns immediately).
+        // than spinning on WaitForSize (which returns immediately).
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
-      if (!rec.has_value() && log_->closed()) {
+      if (!appended && log_->closed()) {
         if (log_->Size() <= position_.load(std::memory_order_acquire)) break;
       }
     }
@@ -206,15 +221,15 @@ std::size_t Propagator::DrainBurst() {
   // merely under-drains this round.
   const std::size_t limit =
       options_.read_limit ? options_.read_limit() : SIZE_MAX;
-  std::size_t consumed = 0;
-  while (consumed < kBroadcastBurst) {
-    const std::size_t pos = position_.load(std::memory_order_relaxed);
-    if (pos >= limit) break;  // record not durable yet
-    auto rec = log_->At(pos);
-    if (!rec.has_value()) break;
-    ConsumeLocked(*rec);
-    ++consumed;
-  }
+  const std::size_t pos = position_.load(std::memory_order_relaxed);
+  // Records at or past `limit` are not durable yet.
+  const std::size_t end = std::min(limit, pos + kBroadcastBurst);
+  const std::size_t consumed =
+      pos < end ? log_->Visit(pos, end,
+                              [this](const wal::LogRecord& record) {
+                                ConsumeLocked(record);
+                              })
+                : 0;
   FlushBurstLocked();
   return consumed;
 }

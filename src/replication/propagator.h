@@ -135,6 +135,9 @@ class Propagator {
   /// queue lock per burst per sink instead of one per record — while the
   /// bound keeps Attach/Detach latency under a steady firehose.
   static constexpr std::size_t kBroadcastBurst = 256;
+  /// Log records AttachSinkAt reads per log-lock hold while it rebuilds a
+  /// replay.
+  static constexpr std::size_t kReplayChunk = 4096;
 
   void Run();
   /// Consumes up to kBroadcastBurst log records under one mu_ hold and

@@ -1,5 +1,7 @@
 #include "wal/logical_log.h"
 
+#include <iterator>
+
 namespace lazysi {
 namespace wal {
 
@@ -31,13 +33,23 @@ void LogicalLog::ResetBase(std::size_t base) {
 }
 
 void LogicalLog::TruncateBelow(std::size_t lsn) {
+  // Dropped records are moved out under the lock and freed after it is
+  // released, so truncating a large prefix never stalls Append.
+  std::deque<LogRecord> dropped;
   std::lock_guard<std::mutex> lock(mu_);
   const std::size_t end = base_lsn_ + records_.size();
   if (lsn > end) lsn = end;
-  while (base_lsn_ < lsn) {
-    records_.pop_front();
-    ++base_lsn_;
+  if (lsn <= base_lsn_) return;
+  const auto cut =
+      records_.begin() + static_cast<std::ptrdiff_t>(lsn - base_lsn_);
+  if (cut == records_.end()) {
+    dropped.swap(records_);
+  } else {
+    dropped.assign(std::make_move_iterator(records_.begin()),
+                   std::make_move_iterator(cut));
+    records_.erase(records_.begin(), cut);
   }
+  base_lsn_ = lsn;
 }
 
 std::optional<LogRecord> LogicalLog::At(std::size_t lsn) const {
@@ -48,16 +60,12 @@ std::optional<LogRecord> LogicalLog::At(std::size_t lsn) const {
   return records_[lsn - base_lsn_];
 }
 
-std::optional<LogRecord> LogicalLog::WaitAt(
-    std::size_t lsn, std::chrono::milliseconds timeout) const {
+bool LogicalLog::WaitForSize(std::size_t size,
+                             std::chrono::milliseconds timeout) const {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, timeout, [&] {
-    return lsn < base_lsn_ + records_.size() || closed_;
-  });
-  if (lsn < base_lsn_ || lsn - base_lsn_ >= records_.size()) {
-    return std::nullopt;
-  }
-  return records_[lsn - base_lsn_];
+  return cv_.wait_for(lock, timeout, [&] {
+    return size <= base_lsn_ + records_.size() || closed_;
+  }) && size <= base_lsn_ + records_.size();
 }
 
 void LogicalLog::Close() {

@@ -1,6 +1,7 @@
 #ifndef LAZYSI_WAL_LOGICAL_LOG_H_
 #define LAZYSI_WAL_LOGICAL_LOG_H_
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -20,11 +21,12 @@ namespace wal {
 /// and commit timestamps are consistent with the actual order of start and
 /// commit operations at the site").
 ///
-/// The propagator tails the log through a LogCursor (a "log sniffer" in the
-/// paper's terms, Section 5: it does not go through the concurrency control).
+/// The propagator tails the log with WaitForSize + Visit (a "log sniffer" in
+/// the paper's terms, Section 5: it does not go through the concurrency
+/// control), reading records in place instead of copying them out.
 /// LSNs are *absolute*: they keep counting across checkpoint truncation and
-/// restarts. `base_lsn()` is the oldest retained LSN; At/WaitAt below it
-/// return nullopt (the record was truncated away).
+/// restarts. `base_lsn()` is the oldest retained LSN; reads below it find
+/// nothing (the record was truncated away).
 class LogicalLog {
  public:
   /// Appends a record; wakes blocked cursors. Returns the record's log
@@ -45,16 +47,31 @@ class LogicalLog {
   /// Absolute LSNs are unaffected; reads below the new base yield nullopt.
   void TruncateBelow(std::size_t lsn);
 
-  /// Returns the record at `lsn` if it exists and is still retained.
+  /// Returns a copy of the record at `lsn` if it exists and is still
+  /// retained.
   std::optional<LogRecord> At(std::size_t lsn) const;
 
-  /// Blocks until a record with LSN >= `lsn` exists or the log is closed or
-  /// `timeout` elapses. Returns the record, or nullopt on close/timeout.
-  std::optional<LogRecord> WaitAt(
-      std::size_t lsn,
-      std::chrono::milliseconds timeout = std::chrono::milliseconds(100)) const;
+  /// Calls `fn(const LogRecord&)` on each retained record with LSN in
+  /// [from, to), in order, under the log lock — no record is copied, and
+  /// `fn` must not call back into the log. Stops at the first LSN that is
+  /// not retained (truncated away, or not yet appended). Returns the number
+  /// of records visited.
+  template <typename Fn>
+  std::size_t Visit(std::size_t from, std::size_t to, Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (from < base_lsn_) return 0;
+    const std::size_t end = std::min(to, base_lsn_ + records_.size());
+    for (std::size_t lsn = from; lsn < end; ++lsn) {
+      fn(records_[lsn - base_lsn_]);
+    }
+    return end > from ? end - from : 0;
+  }
 
-  /// Closes the log (site shutdown); blocked readers wake with nullopt.
+  /// Blocks until Size() >= `size`, the log is closed, or `timeout`
+  /// elapses. Returns whether Size() >= `size`.
+  bool WaitForSize(std::size_t size, std::chrono::milliseconds timeout) const;
+
+  /// Closes the log (site shutdown); blocked WaitForSize calls wake.
   void Close();
   bool closed() const;
 

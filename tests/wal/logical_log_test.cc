@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 namespace lazysi {
 namespace wal {
@@ -24,22 +25,21 @@ TEST(LogicalLogTest, AtReturnsRecord) {
   EXPECT_FALSE(log.At(1).has_value());
 }
 
-TEST(LogicalLogTest, WaitAtBlocksUntilAppend) {
+TEST(LogicalLogTest, WaitForSizeBlocksUntilAppend) {
   LogicalLog log;
   std::thread appender([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     log.Append(LogRecord::Start(1, 1));
   });
-  auto r = log.WaitAt(0, std::chrono::milliseconds(2000));
+  const bool arrived = log.WaitForSize(1, std::chrono::milliseconds(2000));
   appender.join();
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->txn_id, 1u);
+  EXPECT_TRUE(arrived);
+  EXPECT_EQ(log.At(0)->txn_id, 1u);
 }
 
-TEST(LogicalLogTest, WaitAtTimesOut) {
+TEST(LogicalLogTest, WaitForSizeTimesOut) {
   LogicalLog log;
-  auto r = log.WaitAt(0, std::chrono::milliseconds(10));
-  EXPECT_FALSE(r.has_value());
+  EXPECT_FALSE(log.WaitForSize(1, std::chrono::milliseconds(10)));
 }
 
 TEST(LogicalLogTest, CloseWakesWaiters) {
@@ -48,10 +48,36 @@ TEST(LogicalLogTest, CloseWakesWaiters) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     log.Close();
   });
-  auto r = log.WaitAt(0, std::chrono::milliseconds(5000));
+  const bool arrived = log.WaitForSize(1, std::chrono::milliseconds(5000));
   closer.join();
-  EXPECT_FALSE(r.has_value());
+  EXPECT_FALSE(arrived);
   EXPECT_TRUE(log.closed());
+}
+
+TEST(LogicalLogTest, VisitReadsRetainedRangeInPlace) {
+  LogicalLog log;
+  for (TxnId t = 1; t <= 5; ++t) log.Append(LogRecord::Start(t, t));
+  log.TruncateBelow(2);
+  std::vector<TxnId> seen;
+  auto collect = [&seen](const LogRecord& r) { seen.push_back(r.txn_id); };
+  // Clipped at the end of the log; nothing below the truncation base.
+  EXPECT_EQ(log.Visit(3, 10, collect), 2u);
+  EXPECT_EQ(seen, (std::vector<TxnId>{4, 5}));
+  EXPECT_EQ(log.Visit(1, 4, collect), 0u);
+  EXPECT_EQ(log.Visit(2, 3, collect), 1u);
+  EXPECT_EQ(seen.back(), 3u);
+  EXPECT_EQ(log.Visit(5, 10, collect), 0u);
+}
+
+TEST(LogicalLogTest, TruncatingEverythingKeepsAbsoluteLsns) {
+  LogicalLog log;
+  for (TxnId t = 1; t <= 3; ++t) log.Append(LogRecord::Start(t, t));
+  log.TruncateBelow(log.Size());
+  EXPECT_EQ(log.base_lsn(), 3u);
+  EXPECT_EQ(log.Size(), 3u);
+  EXPECT_FALSE(log.At(2).has_value());
+  EXPECT_EQ(log.Append(LogRecord::Start(4, 4)), 3u);
+  EXPECT_EQ(log.At(3)->txn_id, 4u);
 }
 
 TEST(LogicalLogTest, EncodeDecodeSuffix) {
