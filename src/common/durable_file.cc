@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -45,41 +46,59 @@ Status FsyncDirectory(const std::string& dir) {
 }
 
 Status WriteFileDurably(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::Internal("open " + tmp + ": " + std::strerror(errno));
+  DurableFileWriter writer(path);
+  LAZYSI_RETURN_NOT_OK(writer.Open());
+  LAZYSI_RETURN_NOT_OK(writer.Append(contents));
+  return writer.Commit();
+}
+
+DurableFileWriter::DurableFileWriter(std::string path)
+    : path_(std::move(path)), tmp_(path_ + ".tmp") {}
+
+DurableFileWriter::~DurableFileWriter() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    ::unlink(tmp_.c_str());
   }
+}
+
+Status DurableFileWriter::Open() {
+  fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd_ < 0) {
+    return Status::Internal("open " + tmp_ + ": " + std::strerror(errno));
+  }
+  return Status::OK();
+}
+
+Status DurableFileWriter::Append(std::string_view data) {
   std::size_t written = 0;
-  while (written < contents.size()) {
+  while (written < data.size()) {
     const ssize_t n =
-        ::write(fd, contents.data() + written, contents.size() - written);
+        ::write(fd_, data.data() + written, data.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return Status::Internal("write " + tmp + ": " + err);
+      return Status::Internal("write " + tmp_ + ": " + std::strerror(errno));
     }
     written += static_cast<std::size_t>(n);
   }
+  return Status::OK();
+}
+
+Status DurableFileWriter::Commit() {
   // fsync before rename: otherwise the rename can land on disk ahead of the
   // data and a crash leaves a zero-length or torn file at the final name.
-  if (::fsync(fd) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return Status::Internal("fsync " + tmp + ": " + err);
+  if (::fsync(fd_) != 0) {
+    return Status::Internal("fsync " + tmp_ + ": " + std::strerror(errno));
   }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+  ::close(fd_);
+  fd_ = -1;
+  if (::rename(tmp_.c_str(), path_.c_str()) != 0) {
     const std::string err = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return Status::Internal("rename " + tmp + " -> " + path + ": " + err);
+    ::unlink(tmp_.c_str());
+    return Status::Internal("rename " + tmp_ + " -> " + path_ + ": " + err);
   }
   // fsync the directory so the rename itself survives a crash.
-  return FsyncDirectory(ParentDirectory(path));
+  return FsyncDirectory(ParentDirectory(path_));
 }
 
 Status ReadWholeFile(const std::string& path, std::string* out) {

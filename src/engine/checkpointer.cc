@@ -93,16 +93,20 @@ void Checkpointer::Loop() {
 }
 
 Status Checkpointer::CheckpointNow() {
-  // 1. Consistent (state, LSN) pair at the visibility watermark.
-  Database::Checkpoint cp = db_->TakeCheckpoint();
+  // 1. Consistent (snapshot, LSN) pair at the visibility watermark, pinned
+  // against version GC until the snapshot is on disk.
+  Database::CheckpointPin cp = db_->PinCheckpoint();
 
   // 2. The checkpoint claims "everything below cp.lsn is reflected here";
   // nothing may reference it until those records are actually on disk.
   LAZYSI_RETURN_NOT_OK(durable_->Flush(cp.lsn));
 
-  // 3. Persist the snapshot, then swing the manifest (both durable renames).
+  // 3. Stream the pinned snapshot to disk, then swing the manifest (both
+  // durable renames).
   const std::string file = "checkpoint-" + std::to_string(cp.lsn);
-  LAZYSI_RETURN_NOT_OK(SaveCheckpoint(cp, options_.data_dir + "/" + file));
+  LAZYSI_RETURN_NOT_OK(
+      SaveCheckpoint(db_, cp, options_.data_dir + "/" + file));
+  cp.txn.reset();
   Manifest m;
   m.checkpoint_lsn = cp.lsn;
   m.checkpoint_file = file;

@@ -35,11 +35,12 @@ Result<Manifest> LoadManifest(const std::string& data_dir);
 /// Periodic checkpointing with changelog truncation (Section 3.4's "replay
 /// the suffix of the log after the checkpoint", made bounded):
 ///
-///   1. Database::TakeCheckpoint() — a consistent (state, LSN) pair at the
-///      visibility watermark; non-quiescent, commits keep flowing.
+///   1. Database::PinCheckpoint() — a consistent (snapshot, LSN) pair at
+///      the visibility watermark; non-quiescent, commits keep flowing.
 ///   2. DurableLog::Flush(lsn) — every record the checkpoint covers must be
 ///      on disk before anything references the checkpoint.
-///   3. SaveCheckpoint + WriteManifest (both durable), drop the previous
+///   3. SaveCheckpoint streams the pinned snapshot to disk one store shard
+///      at a time, then WriteManifest (both durable); drop the previous
 ///      checkpoint file.
 ///   4. Truncate log segments below floor = min(checkpoint LSN, the
 ///      propagation sinks' min-ack LSN from `log_floor`) — a secondary that

@@ -70,27 +70,95 @@ std::uint64_t ReadLE64(const char* p) {
   return v;
 }
 
+/// Writes the checkpoint format — magic, payload, FNV-1a of the payload —
+/// to a durable file without holding the payload whole: entries collect in
+/// a buffer that Flush hashes and writes out.
+class CheckpointFileWriter {
+ public:
+  explicit CheckpointFileWriter(const std::string& path) : file_(path) {}
+
+  /// Starts the file; the payload header declares `count` entries.
+  Status Open(Timestamp as_of, std::size_t lsn, std::size_t count) {
+    LAZYSI_RETURN_NOT_OK(file_.Open());
+    LAZYSI_RETURN_NOT_OK(file_.Append({kMagic, sizeof(kMagic)}));
+    PutVarint(&buffer_, as_of);
+    PutVarint(&buffer_, lsn);
+    PutVarint(&buffer_, count);
+    return Status::OK();
+  }
+
+  void Add(const std::string& key, const std::string& value) {
+    PutString(&buffer_, key);
+    PutString(&buffer_, value);
+  }
+
+  std::size_t buffered() const { return buffer_.size(); }
+
+  Status Flush() {
+    hash_ = Fnv1a64(buffer_, hash_);
+    Status s = file_.Append(buffer_);
+    buffer_.clear();
+    return s;
+  }
+
+  /// Appends the checksum and makes the file durable at its final name.
+  Status Commit() {
+    LAZYSI_RETURN_NOT_OK(Flush());
+    AppendLE64(&buffer_, hash_);
+    LAZYSI_RETURN_NOT_OK(file_.Append(buffer_));
+    return file_.Commit();
+  }
+
+ private:
+  DurableFileWriter file_;
+  std::string buffer_;
+  std::uint64_t hash_ = Fnv1a64({});
+};
+
+constexpr std::size_t kWriteChunk = 1 << 16;
+
 }  // namespace
 
 Status SaveCheckpoint(const Database::Checkpoint& checkpoint,
                       const std::string& path) {
-  std::string payload;
-  PutVarint(&payload, checkpoint.as_of);
-  PutVarint(&payload, checkpoint.lsn);
-  PutVarint(&payload, checkpoint.state.size());
+  CheckpointFileWriter writer(path);
+  LAZYSI_RETURN_NOT_OK(
+      writer.Open(checkpoint.as_of, checkpoint.lsn, checkpoint.state.size()));
   for (const auto& [key, value] : checkpoint.state) {
-    PutString(&payload, key);
-    PutString(&payload, value);
+    writer.Add(key, value);
+    if (writer.buffered() >= kWriteChunk) LAZYSI_RETURN_NOT_OK(writer.Flush());
   }
+  return writer.Commit();
+}
 
-  std::string file;
-  file.append(kMagic, sizeof(kMagic));
-  file.append(payload);
-  AppendLE64(&file, Fnv1a64(payload));
-
-  // fsync the temp file before the rename and the directory after it: a
-  // checkpoint named in a manifest must never read back zero-length or torn.
-  return WriteFileDurably(path, file);
+Status SaveCheckpoint(Database* db, const Database::CheckpointPin& pin,
+                      const std::string& path) {
+  storage::VersionedStore* store = db->store();
+  // The header declares the entry count, so a first pass counts. Both
+  // passes read the pinned snapshot, which no commit or prune changes.
+  std::size_t count = 0;
+  for (std::size_t shard = 0; shard < store->shard_count(); ++shard) {
+    store->ForEachVisibleInShard(
+        shard, pin.as_of,
+        [&count](const std::string&, const std::string&) { ++count; });
+  }
+  CheckpointFileWriter writer(path);
+  LAZYSI_RETURN_NOT_OK(writer.Open(pin.as_of, pin.lsn, count));
+  std::size_t written = 0;
+  for (std::size_t shard = 0; shard < store->shard_count(); ++shard) {
+    // Encode under the shard's lock, write after releasing it.
+    store->ForEachVisibleInShard(
+        shard, pin.as_of,
+        [&](const std::string& key, const std::string& value) {
+          writer.Add(key, value);
+          ++written;
+        });
+    LAZYSI_RETURN_NOT_OK(writer.Flush());
+  }
+  if (written != count) {
+    return Status::Internal("checkpoint snapshot changed while it was written");
+  }
+  return writer.Commit();
 }
 
 Result<Database::Checkpoint> LoadCheckpoint(const std::string& path) {

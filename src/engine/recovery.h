@@ -29,6 +29,12 @@ namespace engine {
 Status SaveCheckpoint(const Database::Checkpoint& checkpoint,
                       const std::string& path);
 
+/// Writes the state of `db` at `pin` (Database::PinCheckpoint) to `path` in
+/// the same format, one store shard at a time, so the site never holds a
+/// second copy of its state. Hold `pin` until this returns.
+Status SaveCheckpoint(Database* db, const Database::CheckpointPin& pin,
+                      const std::string& path);
+
 /// Reads a checkpoint written by SaveCheckpoint.
 Result<Database::Checkpoint> LoadCheckpoint(const std::string& path);
 

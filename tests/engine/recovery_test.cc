@@ -41,6 +41,35 @@ TEST_F(DurableRecoveryTest, CheckpointFileRoundTrip) {
   EXPECT_EQ(loaded->state, cp.state);
 }
 
+// The streamed writer reads the pinned snapshot shard by shard: commits
+// after the pin stay out of the file, and a file larger than one write
+// chunk still round-trips through the checksum.
+TEST_F(DurableRecoveryTest, StreamedCheckpointHoldsItsPinnedSnapshot) {
+  Database db;
+  const std::string value(200, 'v');
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(db.Put("k" + std::to_string(i), value).ok());
+  }
+  ASSERT_TRUE(db.Delete("k7").ok());
+  ASSERT_TRUE(db.Put("k8", "overwritten").ok());
+  const auto expected = db.TakeCheckpoint();
+
+  Database::CheckpointPin pin = db.PinCheckpoint();
+  ASSERT_TRUE(db.Put("k9", "after the pin").ok());
+  ASSERT_TRUE(db.Delete("k10").ok());
+  ASSERT_TRUE(db.Put("new", "after the pin").ok());
+  db.GarbageCollect();
+  ASSERT_TRUE(SaveCheckpoint(&db, pin, checkpoint_path_).ok());
+  pin.txn.reset();
+
+  auto loaded = LoadCheckpoint(checkpoint_path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->as_of, expected.as_of);
+  EXPECT_EQ(loaded->lsn, expected.lsn);
+  EXPECT_EQ(loaded->state, expected.state);
+  EXPECT_EQ(loaded->state.size(), 999u);
+}
+
 TEST_F(DurableRecoveryTest, LoadRejectsCorruptCheckpoint) {
   Database db;
   ASSERT_TRUE(db.Put("a", "1").ok());
