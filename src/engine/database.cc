@@ -126,13 +126,17 @@ Status Database::DurabilityGate(Timestamp commit_ts) {
 
 std::uint64_t Database::ContentHash() {
   // Pinned like TakeCheckpoint, so a concurrent GarbageCollect cannot drop
-  // a version of the snapshot being hashed.
+  // a version of the snapshot being hashed. Rows are hashed in place, shard
+  // by shard, and summed: the sum does not depend on the order rows are
+  // visited in, so sites with different shard layouts still agree.
   auto pin = txn_manager_.BeginReadOnly();
-  const auto state = store_.Materialize(pin->snapshot_ts());
   std::uint64_t h = 0;
-  for (const auto& [key, value] : state) {
-    h = HashMix(h, Fnv1a64(key));
-    h = HashMix(h, Fnv1a64(value));
+  for (std::size_t shard = 0; shard < store_.shard_count(); ++shard) {
+    store_.ForEachVisibleInShard(
+        shard, pin->snapshot_ts(),
+        [&h](const std::string& key, const std::string& value) {
+          h += HashMix(Fnv1a64(key), Fnv1a64(value));
+        });
   }
   return h;
 }

@@ -45,9 +45,51 @@ Result<std::uint64_t> Propagator::AttachSinkAt(
     BlockingQueue<PropagationRecord>* sink, std::size_t from_lsn,
     SinkFilter filter) {
   std::lock_guard<std::mutex> lock(mu_);
+  return AttachSinkAtLocked(sink, from_lsn, std::move(filter));
+}
+
+Result<Propagator::SyncPoint> Propagator::AttachSinkAtLatestSyncPoint(
+    BlockingQueue<PropagationRecord>* sink, SinkFilter filter) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto& [seq, lsn] = *sync_points_.rbegin();
+  const SyncPoint point{lsn, seq};
+  auto base = AttachSinkAtLocked(sink, point.lsn, std::move(filter));
+  if (!base.ok()) return base.status();
+  return point;
+}
+
+std::size_t Propagator::TruncateLogBelow(std::size_t limit) {
+  std::size_t floor;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    limit = std::min(limit, position_.load(std::memory_order_acquire));
+    // Latest point at or below the limit; both components ascend.
+    auto it = sync_points_.end();
+    do {
+      --it;
+    } while (it != sync_points_.begin() && it->second > limit);
+    if (it == sync_points_.begin()) return 0;
+    floor = it->second;
+    sync_points_.erase(sync_points_.begin(), it);
+  }
+  // Outside mu_: freeing the dropped records must not stall the broadcast.
+  // An AttachSinkAt that reads below the floor meanwhile either finishes
+  // first or finds the records gone and fails NotFound.
+  const std::size_t base = log_->base_lsn();
+  log_->TruncateBelow(floor);
+  return log_->base_lsn() - base;
+}
+
+Result<std::uint64_t> Propagator::AttachSinkAtLocked(
+    BlockingQueue<PropagationRecord>* sink, std::size_t from_lsn,
+    SinkFilter filter) {
   const std::size_t upto = position_.load(std::memory_order_acquire);
   if (from_lsn > upto) {
     return Status::InvalidArgument("from_lsn is ahead of the propagator");
+  }
+  if (from_lsn < log_->base_lsn()) {
+    return Status::NotFound("log truncated past lsn " +
+                            std::to_string(from_lsn));
   }
   // Global sequence number of the first replayed record: every non-update
   // log record below from_lsn produced exactly one propagation record. Count
@@ -67,9 +109,7 @@ Result<std::uint64_t> Propagator::AttachSinkAt(
     for (std::size_t lsn = from; lsn < to;) {
       const std::size_t n =
           log_->Visit(lsn, std::min(to, lsn + kReplayChunk), fn);
-      if (n == 0) {
-        return Status::Internal("log truncated below propagator position");
-      }
+      if (n == 0) return Status::NotFound("log truncated during the replay");
       lsn += n;
     }
     return Status::OK();
@@ -268,7 +308,7 @@ void Propagator::ConsumeLocked(const wal::LogRecord& record) {
     sync_points_[records_broadcast_.load(std::memory_order_relaxed)] =
         position_.load(std::memory_order_relaxed);
     if (sync_points_.size() > kMaxSyncPoints) {
-      // Drop the oldest point after the always-kept origin.
+      // Drop the oldest point after the always-kept first one.
       sync_points_.erase(std::next(sync_points_.begin()));
     }
   }

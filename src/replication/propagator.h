@@ -81,10 +81,19 @@ class Propagator {
   /// FailedPrecondition. Returns the global sequence number of the first
   /// replayed record. Used for secondary recovery (Section 3.4) and for
   /// transport-level resync after a disconnect. The replay is filtered the
-  /// same way as the live broadcast.
+  /// same way as the live broadcast. NotFound when the log no longer retains
+  /// `from_lsn` (it was truncated away): no replay can start there.
   Result<std::uint64_t> AttachSinkAt(BlockingQueue<PropagationRecord>* sink,
                                      std::size_t from_lsn,
                                      SinkFilter filter = SinkFilter());
+
+  /// AttachSinkAt at the latest recorded sync point, chosen and attached
+  /// under one lock hold, so no truncation can pass it in between. Returns
+  /// that point: the sink's first record has seq `record_seq`. The snapshot
+  /// rejoin uses it: a snapshot pinned afterwards covers every commit whose
+  /// record precedes the point.
+  Result<SyncPoint> AttachSinkAtLatestSyncPoint(
+      BlockingQueue<PropagationRecord>* sink, SinkFilter filter = SinkFilter());
 
   /// Latest recorded quiesced point whose record_seq is <= `record_seq`.
   /// A reconnecting channel replays from here, so a receiver that
@@ -103,6 +112,12 @@ class Propagator {
   /// from `base_record_seq`. Must be called before Start / AttachSink, on a
   /// propagator that has consumed nothing.
   void SeedForRecovery(std::size_t base_lsn, std::uint64_t base_record_seq);
+
+  /// Log reclamation for a primary with no durable log: truncates the
+  /// logical log below the latest recorded sync point at or below
+  /// min(`limit`, position()), which becomes the oldest resync point (older
+  /// ones are forgotten). Returns the number of log records dropped.
+  std::size_t TruncateLogBelow(std::size_t limit);
 
   /// Removes a sink (e.g. a failed secondary, before its queue is
   /// destroyed). No-op when the sink is not attached.
@@ -128,7 +143,7 @@ class Propagator {
 
  private:
   /// Recorded quiesced points beyond which older ones are dropped; the
-  /// origin {0, 0} is always retained as the resync point of last resort.
+  /// first point is always retained as the resync point of last resort.
   static constexpr std::size_t kMaxSyncPoints = 256;
   /// Upper bound on log records consumed per lock hold. The whole burst's
   /// propagation records are published to each sink with one PushAll — one
@@ -139,6 +154,10 @@ class Propagator {
   /// replay.
   static constexpr std::size_t kReplayChunk = 4096;
 
+  /// AttachSinkAt's body; must be called with mu_ held.
+  Result<std::uint64_t> AttachSinkAtLocked(
+      BlockingQueue<PropagationRecord>* sink, std::size_t from_lsn,
+      SinkFilter filter);
   void Run();
   /// Consumes up to kBroadcastBurst log records under one mu_ hold and
   /// flushes their propagation records to every sink. Returns the number of
@@ -168,6 +187,8 @@ class Propagator {
   /// Propagation records of the burst being consumed, awaiting flush.
   std::vector<PropagationRecord> burst_;
   /// record_seq -> lsn at quiesced moments, ascending in both components.
+  /// The first entry is the resync point of last resort: the origin, the
+  /// recovery seed, or the last TruncateLogBelow floor.
   std::map<std::uint64_t, std::size_t> sync_points_{{0, 0}};
 
   std::atomic<std::size_t> position_{0};

@@ -126,6 +126,29 @@ void Secondary::InitializeSeq(Timestamp seq, Timestamp local_install_ts) {
   AdvanceSeq(seq);
 }
 
+void Secondary::StageSnapshotRow(std::string key, std::string value) {
+  if (!snapshot_txn_) snapshot_txn_ = db_->Begin();
+  (void)snapshot_txn_->Put(key, std::move(value));
+}
+
+Status Secondary::CommitSnapshot(Timestamp as_of) {
+  if (!snapshot_txn_) {
+    // An empty primary state: the empty local state at the current
+    // watermark is its image.
+    InitializeSeq(as_of, db_->LatestCommitTs());
+    return Status::OK();
+  }
+  std::unique_ptr<txn::Transaction> txn = std::move(snapshot_txn_);
+  LAZYSI_RETURN_NOT_OK(txn->Commit());
+  InitializeSeq(as_of, txn->commit_ts());
+  return Status::OK();
+}
+
+void Secondary::AbandonSnapshot() {
+  if (snapshot_txn_) snapshot_txn_->Abort();
+  snapshot_txn_.reset();
+}
+
 Timestamp Secondary::TranslateLocalToPrimary(Timestamp local_ts) const {
   std::shared_lock lock(translate_mu_);
   auto it = local_to_primary_.find(local_ts);

@@ -143,6 +143,19 @@ class Secondary {
   /// transaction after failure).
   void InitializeSeq(Timestamp seq, Timestamp local_install_ts);
 
+  /// Snapshot rejoin (a fresh secondary whose primary no longer holds the
+  /// log back to LSN 0): the rows of the primary's state at some as_of are
+  /// staged in one local update transaction as they arrive, and
+  /// CommitSnapshot commits it and re-seeds seq(DBsec) at as_of — the
+  /// InstallCheckpoint + InitializeSeq pair of recovery. One commit, so no
+  /// reader sees part of the snapshot. Call from one thread, on a site
+  /// that holds no replicated state, before any record reaches the update
+  /// queue.
+  void StageSnapshotRow(std::string key, std::string value);
+  Status CommitSnapshot(Timestamp as_of);
+  /// Drops the staged rows (the stream was cut mid-snapshot).
+  void AbandonSnapshot();
+
   /// Maps a local refresh-commit timestamp to the primary commit timestamp
   /// it installed (kInvalidTimestamp if unknown). History recording uses
   /// this to express secondary reads in primary-state coordinates.
@@ -475,6 +488,9 @@ class Secondary {
   /// by primary TxnId. Touched only by the refresher thread (serial) or the
   /// sequencer thread (parallel) — never both in the same configuration.
   std::map<TxnId, TxnId> direct_txns_;
+
+  /// The snapshot being staged; see StageSnapshotRow.
+  std::unique_ptr<txn::Transaction> snapshot_txn_;
 
   std::atomic<Timestamp> applied_seq_{0};
   mutable std::mutex seq_mu_;

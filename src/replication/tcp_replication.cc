@@ -9,6 +9,9 @@
 
 #include "common/crc32.h"
 #include "common/logging.h"
+#include "engine/database.h"
+#include "replication/primary.h"
+#include "replication/secondary.h"
 #include "replication/wire.h"
 
 namespace lazysi {
@@ -55,8 +58,57 @@ bool DecodeBatchFramePayload(const std::string& frame, std::size_t* offset,
   return *offset == frame.size();
 }
 
+namespace {
+
+std::string SnapshotFrameHeader(Timestamp as_of, std::uint64_t count) {
+  std::string payload(1, kReplSnapshotTag);
+  PutVarint(&payload, as_of);
+  PutVarint(&payload, count);
+  return payload;
+}
+
+}  // namespace
+
+std::string EncodeSnapshotFramePayload(Timestamp as_of,
+                                       const std::vector<SnapshotRow>& rows) {
+  std::string payload = SnapshotFrameHeader(as_of, rows.size());
+  for (const auto& [key, value] : rows) {
+    PutString(&payload, key);
+    PutString(&payload, value);
+  }
+  return payload;
+}
+
+bool DecodeSnapshotFramePayload(const std::string& frame, std::size_t* offset,
+                                Timestamp* as_of,
+                                std::vector<SnapshotRow>* rows) {
+  if (*offset >= frame.size() || frame[*offset] != kReplSnapshotTag) {
+    return false;
+  }
+  ++*offset;
+  std::uint64_t count = 0;
+  if (!GetVarint(frame, offset, as_of) || !GetVarint(frame, offset, &count)) {
+    return false;
+  }
+  // Like a BATCH count, the claim is unverified: no reserve(count).
+  for (std::uint64_t i = 0; i < count; ++i) {
+    SnapshotRow row;
+    if (!GetString(frame, offset, &row.first) ||
+        !GetString(frame, offset, &row.second)) {
+      return false;
+    }
+    rows->push_back(std::move(row));
+  }
+  return *offset == frame.size();
+}
+
 // ---------------------------------------------------------------------------
 // ReplicationListener
+
+ReplicationListener::ReplicationListener(Primary* primary, Options options)
+    : ReplicationListener(primary->propagator(), std::move(options)) {
+  db_ = primary->db();
+}
 
 ReplicationListener::ReplicationListener(Propagator* propagator,
                                          Options options)
@@ -129,16 +181,22 @@ void ReplicationListener::Stop() {
 
 std::uint64_t ReplicationListener::MinAckFloor() const {
   std::uint64_t floor = UINT64_MAX;
+  auto hold = [&](std::uint64_t acked) {
+    floor = std::min<std::uint64_t>(
+        floor, propagator_->SyncPointAtOrBefore(acked).lsn);
+  };
+  const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(conns_mu_);
   for (const auto& conn : conns_) {
     if (conn->done.load(std::memory_order_acquire)) continue;
-    const std::uint64_t acked = conn->acked.load(std::memory_order_relaxed);
-    // A freshly-accepted connection (acked 0) maps to the oldest retained
-    // sync point, which conservatively pins the floor at the current log
-    // base — truncation merely pauses until acks flow.
-    floor = std::min<std::uint64_t>(
-        floor, propagator_->SyncPointAtOrBefore(acked).lsn);
+    // A connection that has not attached yet (acked 0) maps to the oldest
+    // retained sync point, which conservatively pins the floor at the
+    // current log base — truncation merely pauses until it attaches.
+    hold(conn->acked.load(std::memory_order_relaxed));
   }
+  std::erase_if(lingering_,
+                [now](const Lingering& l) { return l.until <= now; });
+  for (const auto& l : lingering_) hold(l.acked);
   return floor;
 }
 
@@ -149,6 +207,9 @@ ReplicationListener::Stats ReplicationListener::stats() const {
   s.records_streamed = records_streamed_.load(std::memory_order_relaxed);
   s.replay_attaches = replay_attaches_.load(std::memory_order_relaxed);
   s.attach_refusals = attach_refusals_.load(std::memory_order_relaxed);
+  s.snapshot_attaches = snapshot_attaches_.load(std::memory_order_relaxed);
+  s.snapshot_bytes = snapshot_bytes_.load(std::memory_order_relaxed);
+  s.resume_refusals = resume_refusals_.load(std::memory_order_relaxed);
   s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
   s.backpressure_stalls =
       backpressure_stalls_.load(std::memory_order_relaxed);
@@ -190,7 +251,12 @@ void ReplicationListener::OnAcceptable() {
     };
     cbs.on_drain = [this, weak](net::Connection&) {
       auto c = weak.lock();
-      if (!c || !c->stalled) return;
+      if (!c) return;
+      {
+        std::lock_guard<std::mutex> lock(c->room_mu);
+      }
+      c->room_cv.notify_all();
+      if (!c->stalled) return;
       c->stalled = false;
       PumpConn(c);
     };
@@ -276,13 +342,39 @@ void ReplicationListener::HandleAttach(const std::shared_ptr<Conn>& conn,
   if (conn->done.load(std::memory_order_acquire)) return;
   // A resuming secondary (expected > 0) replays from the latest quiesced
   // point at or below its position; a fresh one (expected == 0, e.g. after
-  // kill -9) replays the log from its checkpoint LSN — 0 = everything.
+  // kill -9) replays the log from its checkpoint LSN — 0 = everything, or
+  // a snapshot once the log no longer starts there. Any other position the
+  // log lost is refused.
   std::size_t attach_lsn = static_cast<std::size_t>(from_lsn);
+  Result<std::uint64_t> base = Status::NotFound("resync point truncated");
   if (expected > 0) {
-    attach_lsn = propagator_->SyncPointAtOrBefore(expected).lsn;
+    const Propagator::SyncPoint point =
+        propagator_->SyncPointAtOrBefore(expected);
+    attach_lsn = point.lsn;
+    // A point past `expected` means every point at or below it was
+    // forgotten along with its log records.
+    if (point.record_seq <= expected) {
+      base = propagator_->AttachSinkAt(&conn->sink, attach_lsn,
+                                       options_.filter);
+    }
+  } else {
+    base = propagator_->AttachSinkAt(&conn->sink, attach_lsn, options_.filter);
   }
-  auto base =
-      propagator_->AttachSinkAt(&conn->sink, attach_lsn, options_.filter);
+  std::string welcome(1, kReplWelcomeTag);
+  std::string snapshot_tail;
+  if (base.status().IsNotFound() && expected == 0 && from_lsn == 0 &&
+      db_ != nullptr) {
+    // A fresh secondary holds nothing, so it can start from a snapshot.
+    base = StreamSnapshot(conn, &snapshot_tail);
+    if (base.status().IsAborted()) return;  // the connection closed
+  }
+  if (base.status().IsNotFound()) {
+    Refuse(conn, expected > 0
+                     ? "resync point for seq " + std::to_string(expected) +
+                           " is truncated"
+                     : "log truncated past lsn " + std::to_string(from_lsn));
+    return;
+  }
   if (!base.ok()) {
     attach_refusals_.fetch_add(1, std::memory_order_relaxed);
     LAZYSI_WARN("replication listener: attach at lsn " << attach_lsn
@@ -290,11 +382,15 @@ void ReplicationListener::HandleAttach(const std::shared_ptr<Conn>& conn,
     conn->nc->Close();
     return;
   }
-  replay_attaches_.fetch_add(1, std::memory_order_relaxed);
+  if (snapshot_tail.empty()) {
+    replay_attaches_.fetch_add(1, std::memory_order_relaxed);
+  }
   conn->resume_seq = expected;
+  // Holds the truncation floor at the attach point until acks move it.
+  conn->acked.store(*base, std::memory_order_relaxed);
   // WELCOME is queued before the pump may run, so no BATCH overtakes it.
-  std::string welcome(1, kReplWelcomeTag);
   PutVarint(&welcome, *base);
+  welcome += snapshot_tail;
   WriteFrame(conn.get(), std::move(welcome));
   conn->attached.store(true, std::memory_order_release);
   if (conn->done.load(std::memory_order_acquire)) {
@@ -307,6 +403,92 @@ void ReplicationListener::HandleAttach(const std::shared_ptr<Conn>& conn,
   // The replay burst is already sitting in the sink; pump it.
   std::weak_ptr<Conn> weak = conn;
   SchedulePump(weak);
+}
+
+Result<std::uint64_t> ReplicationListener::StreamSnapshot(
+    const std::shared_ptr<Conn>& conn, std::string* welcome) {
+  auto point =
+      propagator_->AttachSinkAtLatestSyncPoint(&conn->sink, options_.filter);
+  if (!point.ok()) return point.status();
+  // While the snapshot streams, the truncation floor stays at the point.
+  conn->acked.store(point->record_seq, std::memory_order_relaxed);
+  // Every commit record below the point is at or below the pin's as_of
+  // (PinCheckpoint's contract), so the snapshot plus the sink's records
+  // from the point on cover the whole history. The commits in both are the
+  // ones at or below as_of; the receiver turns those into aborts.
+  const engine::Database::CheckpointPin pin = db_->PinCheckpoint();
+  storage::VersionedStore* store = db_->store();
+  std::uint64_t rows = 0;
+  std::vector<std::string> frames;
+  for (std::size_t shard = 0; shard < store->shard_count(); ++shard) {
+    // Encode under the shard's reader lock; write after releasing it.
+    std::string body;
+    std::uint64_t n = 0;
+    auto seal = [&] {
+      frames.push_back(SnapshotFrameHeader(pin.as_of, n) + body);
+      rows += n;
+      body.clear();
+      n = 0;
+    };
+    store->ForEachVisibleInShard(
+        shard, pin.as_of,
+        [&](const std::string& key, const std::string& value) {
+          if (options_.filter.active() && !options_.filter.CoversKey(key)) {
+            return;
+          }
+          PutString(&body, key);
+          PutString(&body, value);
+          ++n;
+          if (body.size() >= options_.max_batch_bytes) seal();
+        });
+    if (n > 0) seal();
+    for (std::string& frame : frames) {
+      const std::size_t bytes = frame.size();
+      if (!WaitForRoom(conn.get()) ||
+          !WriteFrame(conn.get(), std::move(frame))) {
+        propagator_->DetachSink(&conn->sink);
+        return Status::Aborted("connection closed during the snapshot");
+      }
+      snapshot_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    }
+    frames.clear();
+  }
+  PutVarint(welcome, pin.as_of);
+  PutVarint(welcome, rows);
+  snapshot_attaches_.fetch_add(1, std::memory_order_relaxed);
+  return point->record_seq;
+}
+
+bool ReplicationListener::WaitForRoom(Conn* conn) {
+  std::unique_lock<std::mutex> lock(conn->room_mu);
+  while (conn->nc->output_bytes() >= options_.max_output_bytes) {
+    if (conn->done.load(std::memory_order_acquire)) return false;
+    // The drain and close callbacks notify; the timeout only bounds a
+    // wakeup lost between the check and the wait.
+    conn->room_cv.wait_for(lock, std::chrono::milliseconds(50));
+  }
+  return !conn->done.load(std::memory_order_acquire);
+}
+
+void ReplicationListener::Refuse(const std::shared_ptr<Conn>& conn,
+                                 const std::string& reason) {
+  const std::uint64_t n =
+      resume_refusals_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::int64_t now =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+  std::int64_t last = last_refusal_log_ns_.load(std::memory_order_relaxed);
+  if ((last == 0 || now - last >= 1'000'000'000) &&
+      last_refusal_log_ns_.compare_exchange_strong(last, now)) {
+    LAZYSI_WARN("replication listener: refusing a resync (" << n
+                << " so far): " << reason);
+  }
+  std::string refuse(1, kReplRefuseTag);
+  PutString(&refuse, reason);
+  // The close runs on the loop after the queued flush of the frame, so the
+  // receiver reads the reason before the end of the stream.
+  if (WriteFrame(conn.get(), std::move(refuse))) conn->nc->Close();
 }
 
 bool ReplicationListener::WriteFrame(Conn* conn, std::string payload) {
@@ -397,6 +579,10 @@ void ReplicationListener::PumpConn(const std::shared_ptr<Conn>& conn) {
 
 void ReplicationListener::OnConnClosed(const std::shared_ptr<Conn>& conn) {
   conn->done.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(conn->room_mu);
+  }
+  conn->room_cv.notify_all();
   conn->sink.SetWakeup(nullptr);
   conn->sink.Close();
   // Safe even when the attach worker has not attached (no-op) or is racing
@@ -409,6 +595,15 @@ void ReplicationListener::OnConnClosed(const std::shared_ptr<Conn>& conn) {
   // Retire the connection's wire counters and drop it from the live set
   // under one lock hold so stats() never sees the counters twice.
   std::lock_guard<std::mutex> lock(conns_mu_);
+  if (conn->attached.load(std::memory_order_acquire)) {
+    // A cut secondary redials within the grace and resumes from its ack.
+    const auto now = std::chrono::steady_clock::now();
+    std::erase_if(lingering_,
+                  [now](const Lingering& l) { return l.until <= now; });
+    lingering_.push_back(
+        Lingering{now + kResumeGrace,
+                  conn->acked.load(std::memory_order_relaxed)});
+  }
   for (auto it = conns_.begin(); it != conns_.end(); ++it) {
     if (it->get() == conn.get()) {
       conns_.erase(it);
@@ -441,10 +636,16 @@ ReplicationReceiver::ReplicationReceiver(
   loop_ = options_.loop;
 }
 
+ReplicationReceiver::ReplicationReceiver(Secondary* secondary, Options options)
+    : ReplicationReceiver(secondary->update_queue(), std::move(options)) {
+  secondary_ = secondary;
+}
+
 ReplicationReceiver::~ReplicationReceiver() { Stop(); }
 
 void ReplicationReceiver::Start() {
   stopping_.store(false, std::memory_order_release);
+  refused_.store(false, std::memory_order_release);
   if (options_.loop == nullptr) {
     owned_loop_ = std::make_unique<net::EventLoop>();
     loop_ = owned_loop_.get();
@@ -496,6 +697,8 @@ ReplicationReceiver::Stats ReplicationReceiver::stats() const {
   s.dial_attempts = dial_attempts_.load(std::memory_order_relaxed);
   s.frames_received = frames_received_.load(std::memory_order_relaxed);
   s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
+  s.snapshots_installed = snapshots_installed_.load(std::memory_order_relaxed);
+  s.refusals = refusals_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -584,25 +787,28 @@ void ReplicationReceiver::HandleFrame(std::string frame) {
   }
   if (frame.empty()) return;
   if (!handshaken_) {
-    if (frame[0] != kReplWelcomeTag) return;  // tolerate stray frames
-    std::size_t off = 1;
-    std::uint64_t base = 0;
-    if (!GetVarint(frame, &off, &base)) {
+    bool ok = true;
+    switch (frame[0]) {
+      case kReplWelcomeTag:
+        ok = HandleWelcome(frame);
+        break;
+      case kReplSnapshotTag:
+        ok = HandleSnapshotFrame(frame);
+        break;
+      case kReplRefuseTag: {
+        std::size_t off = 1;
+        std::string reason;
+        if (!GetString(frame, &off, &reason)) reason = "(malformed reason)";
+        Refused(reason);
+        return;
+      }
+      default:
+        return;  // tolerate stray frames
+    }
+    if (!ok) {
       decode_rejected_.fetch_add(1, std::memory_order_relaxed);
-      current_->Close();
-      return;
+      if (current_) current_->Close();
     }
-    handshaken_ = true;
-    if (welcomed_.exchange(true, std::memory_order_acq_rel)) {
-      reconnects_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // A receiver that has delivered nothing asked for a replay from
-    // from_lsn; the stream resumes at the seq the primary attached it at,
-    // which is past 0 whenever that LSN is.
-    if (next_expected_.load(std::memory_order_acquire) == 0) {
-      next_expected_.store(base, std::memory_order_release);
-    }
-    backoff_.Reset();
     return;
   }
   // Duplicate WELCOMEs and unknown tags between handshakes are ignored.
@@ -632,6 +838,89 @@ void ReplicationReceiver::HandleFrame(std::string frame) {
   }
 }
 
+bool ReplicationReceiver::HandleWelcome(const std::string& frame) {
+  std::size_t off = 1;
+  std::uint64_t base = 0;
+  if (!GetVarint(frame, &off, &base)) return false;
+  if (off < frame.size()) {
+    // { as_of, rows } after the base: the SNAPSHOT frames before this one
+    // are the primary's state at as_of. All of them must have arrived.
+    std::uint64_t as_of = 0;
+    std::uint64_t rows = 0;
+    if (!GetVarint(frame, &off, &as_of) || !GetVarint(frame, &off, &rows) ||
+        off != frame.size() || secondary_ == nullptr ||
+        next_expected_.load(std::memory_order_acquire) != 0 ||
+        rows != snapshot_rows_ || (rows > 0 && as_of != snapshot_as_of_)) {
+      LAZYSI_WARN("replication receiver: snapshot does not match its WELCOME");
+      return false;
+    }
+    const Status installed = secondary_->CommitSnapshot(as_of);
+    snapshot_rows_ = 0;
+    if (!installed.ok()) {
+      LAZYSI_WARN("replication receiver: snapshot install failed: "
+                  << installed);
+      return false;
+    }
+    covered_through_ = as_of;
+    snapshots_installed_.fetch_add(1, std::memory_order_relaxed);
+    LAZYSI_INFO("replication receiver: installed a snapshot of "
+                << rows << " rows at primary ts " << as_of);
+  } else if (snapshot_rows_ > 0) {
+    return false;  // SNAPSHOT frames without a snapshot WELCOME
+  }
+  handshaken_ = true;
+  if (welcomed_.exchange(true, std::memory_order_acq_rel)) {
+    reconnects_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // A receiver that has delivered nothing asked for a replay from
+  // from_lsn (or took a snapshot); the stream resumes at the seq the
+  // primary attached it at, which is past 0 whenever that LSN is.
+  if (next_expected_.load(std::memory_order_acquire) == 0) {
+    next_expected_.store(base, std::memory_order_release);
+  }
+  backoff_.Reset();
+  return true;
+}
+
+bool ReplicationReceiver::HandleSnapshotFrame(const std::string& frame) {
+  if (secondary_ == nullptr) {
+    Refused("the primary sent a snapshot this receiver cannot install");
+    return true;
+  }
+  // Only a receiver that holds nothing asks for one.
+  if (next_expected_.load(std::memory_order_acquire) != 0) return false;
+  std::size_t off = 0;
+  Timestamp as_of = kInvalidTimestamp;
+  std::vector<SnapshotRow> rows;
+  if (!DecodeSnapshotFramePayload(frame, &off, &as_of, &rows) ||
+      (snapshot_rows_ > 0 && as_of != snapshot_as_of_)) {
+    return false;
+  }
+  snapshot_as_of_ = as_of;
+  snapshot_rows_ += rows.size();
+  for (auto& [key, value] : rows) {
+    secondary_->StageSnapshotRow(std::move(key), std::move(value));
+  }
+  return true;
+}
+
+void ReplicationReceiver::Refused(const std::string& reason) {
+  refusals_.fetch_add(1, std::memory_order_relaxed);
+  if (!refused_.exchange(true, std::memory_order_acq_rel)) {
+    LAZYSI_ERROR("replication receiver: the primary cannot resync this "
+                 "secondary; it stops replicating and serves reads at its "
+                 "last state. Reason: "
+                 << reason);
+  }
+  if (current_) current_->Close();
+}
+
+void ReplicationReceiver::AbandonSnapshot() {
+  if (snapshot_rows_ == 0) return;
+  secondary_->AbandonSnapshot();
+  snapshot_rows_ = 0;
+}
+
 bool ReplicationReceiver::HandleRecord(PropagationRecord record) {
   const std::uint64_t seq = RecordSeq(record);
   const std::uint64_t expected =
@@ -650,6 +939,12 @@ bool ReplicationReceiver::HandleRecord(PropagationRecord record) {
                 << ", got " << seq << "), resyncing");
     return false;
   }
+  if (const auto* commit = std::get_if<PropCommit>(&record);
+      commit != nullptr && commit->commit_ts <= covered_through_) {
+    // Installed with the snapshot already; the refresh must not apply it
+    // again, but its start record went downstream and needs resolving.
+    record = PropAbort{commit->txn_id, seq};
+  }
   downstream_->Push(std::move(record));
   next_expected_.store(seq + 1, std::memory_order_release);
   records_delivered_.fetch_add(1, std::memory_order_relaxed);
@@ -665,7 +960,11 @@ bool ReplicationReceiver::HandleRecord(PropagationRecord record) {
 void ReplicationReceiver::OnClosed() {
   current_.reset();
   ++conn_epoch_;
-  if (!stopping_.load(std::memory_order_acquire)) ScheduleRedial();
+  AbandonSnapshot();
+  if (!stopping_.load(std::memory_order_acquire) &&
+      !refused_.load(std::memory_order_acquire)) {
+    ScheduleRedial();
+  }
 }
 
 void ReplicationReceiver::ScheduleRedial() {

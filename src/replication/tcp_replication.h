@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -10,12 +11,14 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/backoff.h"
 #include "common/queue.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/timestamp.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/framed_socket.h"
@@ -25,7 +28,13 @@
 #include "replication/propagator.h"
 
 namespace lazysi {
+namespace engine {
+class Database;
+}  // namespace engine
 namespace replication {
+
+class Primary;
+class Secondary;
 
 /// The replication stream: the one protocol that carries propagation records
 /// from a primary to its secondaries, both across processes and inside
@@ -41,6 +50,22 @@ namespace replication {
 ///   primary -> WELCOME { base_seq }
 ///   primary -> BATCH { n, record* }*
 ///   secondary -> ACK { seq }*
+///
+/// When the log no longer reaches back to the HELLO's position, the answer
+/// depends on what the secondary holds:
+///
+///   - nothing (expected_seq == 0, from_lsn == 0): a snapshot rejoin. The
+///     listener attaches the sink at the latest sync point (seq B), pins a
+///     snapshot of the primary at as_of (Database::PinCheckpoint), and
+///     streams it one store shard at a time:
+///       primary -> SNAPSHOT { as_of, n, (key, value)* }*
+///       primary -> WELCOME { B, as_of, rows }
+///     The secondary installs the rows as one local transaction, seeds
+///     seq(DBsec) at as_of (Section 4), and turns every streamed commit at
+///     or below as_of — already in the snapshot — into an abort;
+///   - state (expected_seq > 0, or a checkpoint's from_lsn): a typed
+///     refusal, primary -> REFUSE { reason }. The secondary stops
+///     redialing and keeps serving reads at its last seq(DBsec).
 ///
 /// Every frame ends in a CRC-32C of its payload (SealReplFrame); a frame
 /// that fails it cuts the connection. The replayed suffix may overlap what
@@ -60,6 +85,11 @@ constexpr char kReplHelloTag = 'H';    // secondary -> primary
 constexpr char kReplWelcomeTag = 'W';  // primary -> secondary
 constexpr char kReplBatchTag = 'B';    // varint count + that many records
 constexpr char kReplAckTag = 'A';      // seq of the last delivered record
+constexpr char kReplSnapshotTag = 'S';  // as_of + count + (key, value)*
+constexpr char kReplRefuseTag = 'R';    // why the primary cannot resync
+
+/// One row of a snapshot: a key and its value at the snapshot.
+using SnapshotRow = std::pair<std::string, std::string>;
 
 /// Appends the CRC-32C trailer to a replication-stream frame payload. The
 /// sealed frame is what crosses the wire inside the TCP length prefix.
@@ -85,13 +115,28 @@ std::string EncodeBatchFramePayload(
 bool DecodeBatchFramePayload(const std::string& frame, std::size_t* offset,
                              std::vector<PropagationRecord>* out);
 
+/// Builds one SNAPSHOT frame payload: tag + varint(as_of) + varint(count) +
+/// count (key, value) strings. The listener encodes the same bytes a shard
+/// at a time; exposed for the framing fuzz corpus.
+std::string EncodeSnapshotFramePayload(Timestamp as_of,
+                                       const std::vector<SnapshotRow>& rows);
+
+/// Decodes a SNAPSHOT frame payload (*offset at the tag byte), appending its
+/// rows to *rows. False on a malformed header or row, or trailing bytes after
+/// the declared count: the stream is damaged and the connection must drop.
+bool DecodeSnapshotFramePayload(const std::string& frame, std::size_t* offset,
+                                Timestamp* as_of,
+                                std::vector<SnapshotRow>* rows);
+
 /// Primary-side listener: accepts one connection per secondary. Every
 /// connection shares the listener's event loop; per connection there is a
 /// propagator sink (queue) whose wakeup hook schedules a pump task that
 /// encodes records into frames and hands them to the connection's bounded
 /// output buffer. When a slow secondary's buffer hits max_output_bytes the
 /// pump simply stops pulling from the sink (backpressure) until the drain
-/// callback fires — nothing buffers unboundedly in userspace.
+/// callback fires — nothing buffers unboundedly in userspace. A snapshot
+/// stream obeys the same ceiling: the attach worker waits for the drain
+/// before writing the next SNAPSHOT frame.
 class ReplicationListener {
  public:
   struct Options {
@@ -123,6 +168,9 @@ class ReplicationListener {
     std::uint64_t records_streamed = 0;
     std::uint64_t replay_attaches = 0;  // HELLOs answered via AttachSinkAt
     std::uint64_t attach_refusals = 0;  // HELLOs the propagator refused
+    std::uint64_t snapshot_attaches = 0;  // fresh HELLOs answered by snapshot
+    std::uint64_t snapshot_bytes = 0;     // SNAPSHOT frame payload bytes
+    std::uint64_t resume_refusals = 0;    // REFUSE answers: resync point gone
     std::uint64_t frames_sent = 0;      // BATCH frames
     std::uint64_t bytes_sent = 0;    // wire bytes accepted by the kernel
     std::uint64_t writev_calls = 0;  // flush syscalls across connections
@@ -131,7 +179,11 @@ class ReplicationListener {
     FaultShim::Counters faults;             // all zero without injection
   };
 
+  /// Without a database to snapshot, a fresh secondary that the log no
+  /// longer reaches is refused like a resuming one.
   ReplicationListener(Propagator* propagator, Options options);
+  /// Streams snapshots of primary->db() to fresh secondaries.
+  ReplicationListener(Primary* primary, Options options);
   ~ReplicationListener();
 
   ReplicationListener(const ReplicationListener&) = delete;
@@ -143,13 +195,18 @@ class ReplicationListener {
   std::uint16_t port() const { return port_; }
   Stats stats() const;
 
-  /// Lowest LSN any live secondary may still need for a resync: the minimum
-  /// over live connections of the quiesced point at or below that
-  /// connection's cumulative acked record seq. The checkpointer's truncation
-  /// floor must not exceed this, or a reconnecting secondary's replay would
-  /// hit truncated log. UINT64_MAX when no connection is live (nothing
-  /// holds the log back).
+  /// Lowest LSN any secondary may still need for a resync: the minimum over
+  /// live connections, and over connections closed less than kResumeGrace
+  /// ago, of the quiesced point at or below that connection's cumulative
+  /// acked record seq. A log truncation floor must not exceed this, or a
+  /// reconnecting secondary's replay would hit truncated log. UINT64_MAX
+  /// when no connection holds the log back.
   std::uint64_t MinAckFloor() const;
+
+  /// How long a closed connection's ack floor still holds the log back: at
+  /// least the receiver's longest redial delay (2 s cap, +20% jitter), so a
+  /// cut-and-redial always resumes from the log, never from a snapshot.
+  static constexpr std::chrono::milliseconds kResumeGrace{3000};
 
  private:
   struct Conn {
@@ -160,6 +217,9 @@ class ReplicationListener {
     std::atomic<bool> attached{false};
     std::atomic<bool> done{false};  // closed; ignore in MinAckFloor
     std::atomic<bool> pump_scheduled{false};
+    /// Wakes a snapshot stream waiting for output-buffer room.
+    std::mutex room_mu;
+    std::condition_variable room_cv;
     /// The HELLO's expected seq: replayed records below it are already at
     /// the secondary and never cross the wire. Written before `attached`.
     std::uint64_t resume_seq = 0;
@@ -181,6 +241,17 @@ class ReplicationListener {
   /// count stays O(1)).
   void HandleAttach(const std::shared_ptr<Conn>& conn, std::uint64_t expected,
                     std::uint64_t from_lsn);
+  /// Attach worker: attaches the sink at the latest sync point, streams a
+  /// pinned snapshot as SNAPSHOT frames, and appends { as_of, rows } to
+  /// *welcome. Returns the sink's base seq; on failure the sink is detached.
+  Result<std::uint64_t> StreamSnapshot(const std::shared_ptr<Conn>& conn,
+                                       std::string* welcome);
+  /// Blocks until the connection's output buffer is under max_output_bytes.
+  /// False once the connection closed.
+  bool WaitForRoom(Conn* conn);
+  /// Answers a HELLO the log cannot serve with REFUSE { reason } and closes
+  /// the connection. Logs at most once per second.
+  void Refuse(const std::shared_ptr<Conn>& conn, const std::string& reason);
   void SchedulePump(const std::weak_ptr<Conn>& weak);
   void PumpConn(const std::shared_ptr<Conn>& conn);
   /// False when the fault shim cut the connection instead.
@@ -190,6 +261,7 @@ class ReplicationListener {
   bool WriteFrame(Conn* conn, std::string payload);
 
   Propagator* propagator_;
+  engine::Database* db_ = nullptr;  // snapshot source; null = none
   Options options_;
   std::unique_ptr<FaultShim> shim_;  // null without injected faults
   std::uint16_t port_ = 0;
@@ -204,11 +276,21 @@ class ReplicationListener {
 
   mutable std::mutex conns_mu_;
   std::vector<std::shared_ptr<Conn>> conns_;  // guarded by conns_mu_
+  /// Ack seqs of recently closed connections, held until `until`.
+  struct Lingering {
+    std::chrono::steady_clock::time_point until;
+    std::uint64_t acked = 0;
+  };
+  mutable std::vector<Lingering> lingering_;  // guarded by conns_mu_
 
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> records_streamed_{0};
   std::atomic<std::uint64_t> replay_attaches_{0};
   std::atomic<std::uint64_t> attach_refusals_{0};
+  std::atomic<std::uint64_t> snapshot_attaches_{0};
+  std::atomic<std::uint64_t> snapshot_bytes_{0};
+  std::atomic<std::uint64_t> resume_refusals_{0};
+  std::atomic<std::int64_t> last_refusal_log_ns_{0};  // 0 = never logged
   std::atomic<std::uint64_t> frames_sent_{0};
   std::atomic<std::uint64_t> backpressure_stalls_{0};
   // bytes/writev/flush counters of connections that already closed; stats()
@@ -220,7 +302,10 @@ class ReplicationListener {
 
 /// Secondary-side stream client: dials the primary (non-blocking, on the
 /// loop), handshakes, and feeds decoded records into the secondary's update
-/// queue, deduplicating any replay overlap by global sequence number.
+/// queue, deduplicating any replay overlap by global sequence number. A
+/// receiver built on a Secondary also installs the snapshot a primary sends
+/// a fresh secondary in place of a replay; one built on a bare queue treats
+/// a snapshot like a refusal. After a REFUSE it stops redialing.
 /// Reconnects with a fresh handshake whenever the connection drops; redial
 /// delay is exponential with a cap and jitter so a dead primary's return
 /// doesn't see the whole fleet dial in lock-step.
@@ -254,10 +339,14 @@ class ReplicationReceiver {
     std::uint64_t dial_attempts = 0;
     std::uint64_t frames_received = 0;  // BATCH frames
     std::uint64_t bytes_received = 0;
+    std::uint64_t snapshots_installed = 0;
+    std::uint64_t refusals = 0;  // the primary cannot resync this receiver
   };
 
   ReplicationReceiver(BlockingQueue<PropagationRecord>* downstream,
                       Options options);
+  /// Feeds secondary->update_queue() and installs snapshots into it.
+  ReplicationReceiver(Secondary* secondary, Options options);
   ~ReplicationReceiver();
 
   ReplicationReceiver(const ReplicationReceiver&) = delete;
@@ -278,6 +367,9 @@ class ReplicationReceiver {
   }
   /// True once a primary has answered a HELLO: the stream is attached.
   bool welcomed() const { return welcomed_.load(std::memory_order_acquire); }
+  /// True once the primary refused to resync this receiver: it no longer
+  /// redials (until the next Start).
+  bool refused() const { return refused_.load(std::memory_order_acquire); }
 
  private:
   // All of these run on the loop thread.
@@ -285,6 +377,15 @@ class ReplicationReceiver {
   void OnDialDone(int fd, bool ok);
   void OnBytes(std::string_view bytes);
   void HandleFrame(std::string frame);
+  /// WELCOME: installs a staged snapshot if one preceded it. False when the
+  /// frame is malformed or the install failed; the connection must drop.
+  bool HandleWelcome(const std::string& frame);
+  /// SNAPSHOT: stages the frame's rows. False when the stream is damaged.
+  bool HandleSnapshotFrame(const std::string& frame);
+  /// Stops redialing for good (until the next Start) and cuts the stream.
+  void Refused(const std::string& reason);
+  /// Drops the rows of a snapshot cut short.
+  void AbandonSnapshot();
   /// Returns false when the stream is damaged and the connection must drop.
   bool HandleRecord(PropagationRecord record);
   void OnClosed();
@@ -293,6 +394,7 @@ class ReplicationReceiver {
   void WriteFrame(std::string payload);
 
   BlockingQueue<PropagationRecord>* downstream_;
+  Secondary* secondary_ = nullptr;  // snapshot target; null = none
   Options options_;
   std::unique_ptr<net::EventLoop> owned_loop_;
   net::EventLoop* loop_ = nullptr;
@@ -300,6 +402,7 @@ class ReplicationReceiver {
   bool started_ = false;
   std::atomic<std::uint64_t> next_expected_{0};
   std::atomic<bool> welcomed_{false};
+  std::atomic<bool> refused_{false};
 
   // Loop-thread-only state.
   std::shared_ptr<net::Connection> current_;
@@ -311,6 +414,12 @@ class ReplicationReceiver {
   ExponentialBackoff backoff_;
   Rng rng_;
   std::uint64_t conn_epoch_ = 0;  // guards stale dial callbacks
+  /// Snapshot being staged on this connection: as_of and rows so far.
+  Timestamp snapshot_as_of_ = kInvalidTimestamp;
+  std::uint64_t snapshot_rows_ = 0;
+  /// as_of of the installed snapshot: streamed commits at or below it are
+  /// already installed and go downstream as aborts.
+  Timestamp covered_through_ = kInvalidTimestamp;
 
   std::atomic<std::uint64_t> records_delivered_{0};
   std::atomic<std::uint64_t> duplicates_dropped_{0};
@@ -320,6 +429,8 @@ class ReplicationReceiver {
   std::atomic<std::uint64_t> dial_attempts_{0};
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
+  std::atomic<std::uint64_t> snapshots_installed_{0};
+  std::atomic<std::uint64_t> refusals_{0};
 };
 
 }  // namespace replication

@@ -41,8 +41,6 @@ bool GetVarint(const std::string& data, std::size_t* offset,
   return false;
 }
 
-namespace {
-
 void PutString(std::string* out, const std::string& s) {
   PutVarint(out, s.size());
   out->append(s);
@@ -59,8 +57,6 @@ bool GetString(const std::string& data, std::size_t* offset,
   *offset += len;
   return true;
 }
-
-}  // namespace
 
 void EncodeRecord(const PropagationRecord& record, std::string* out) {
   if (const auto* s = std::get_if<PropStart>(&record)) {

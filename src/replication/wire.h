@@ -28,6 +28,15 @@ void PutVarint(std::string* out, std::uint64_t v);
 bool GetVarint(const std::string& data, std::size_t* offset,
                std::uint64_t* out);
 
+/// Appends `s` as varint(length) + bytes. Exposed for the snapshot frames of
+/// the replication stream.
+void PutString(std::string* out, const std::string& s);
+
+/// Decodes a string written by PutString at *offset, advancing it. False on
+/// a malformed length or one that runs past the end of `data`.
+bool GetString(const std::string& data, std::size_t* offset,
+               std::string* out);
+
 /// Appends the encoding of `record` to `out`.
 void EncodeRecord(const PropagationRecord& record, std::string* out);
 

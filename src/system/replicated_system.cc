@@ -1033,7 +1033,9 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
                                     checkpoint.lsn));
     fresh.receiver->Start();
     while (!fresh.receiver->welcomed()) {
-      if (fresh.listener->stats().attach_refusals > 0) {
+      const auto listener_stats = fresh.listener->stats();
+      if (listener_stats.attach_refusals + listener_stats.resume_refusals >
+          0) {
         return Status::FailedPrecondition(
             "propagator refused the replay attach at lsn " +
             std::to_string(checkpoint.lsn));

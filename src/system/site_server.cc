@@ -117,7 +117,7 @@ Status SiteServer::Start() {
     lo.batch_flush_interval = options_.batch_flush_interval;
     lo.max_output_bytes = options_.max_output_bytes;
     repl_listener_ = std::make_unique<replication::ReplicationListener>(
-        primary_->propagator(), lo);
+        primary_.get(), lo);
     LAZYSI_RETURN_NOT_OK(repl_listener_->Start());
     primary_->Start();
     if (durable_log_) {
@@ -142,7 +142,7 @@ Status SiteServer::Start() {
     ro.primary_port = options_.primary_repl_port;
     ro.loop = loop_.get();
     repl_receiver_ = std::make_unique<replication::ReplicationReceiver>(
-        secondary_->update_queue(), ro);
+        secondary_.get(), ro);
     secondary_->Start();
     repl_receiver_->Start();
   }
@@ -205,6 +205,14 @@ void SiteServer::Reclaim() {
     const std::size_t base = log->base_lsn();
     log->TruncateBelow(log->Size());
     log_dropped = log->base_lsn() - base;
+    // Every open reader's snapshot is at or above min_active, so its
+    // primary prefix is at or above this horizon and stays resolvable.
+    secondary_->PruneTranslations(secondary_->PrimaryPrefixAtLocal(min_active));
+  } else if (!durable_log_) {
+    // Only secondaries that may still resync hold the log back; a fresh
+    // one joins from a snapshot.
+    log_dropped = primary_->propagator()->TruncateLogBelow(
+        static_cast<std::size_t>(repl_listener_->MinAckFloor()));
   }
   const std::size_t pruned = db_.GarbageCollect();
   bool trimmed = false;

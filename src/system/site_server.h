@@ -44,11 +44,14 @@ namespace system {
 ///
 /// Memory: every kReclaimInterval a loop timer queues one reclaim pass on
 /// the worker pool (no thread of its own). A secondary truncates its whole
-/// logical log, which nothing in this deployment reads; every site prunes
-/// the versions no open snapshot can see (Database::GarbageCollect); a pass
-/// that freed anything hands free heap pages back to the kernel. The
-/// primary's log is left alone: a durable primary's checkpointer truncates
-/// it, and an in-memory primary replays it from LSN 0 to a fresh secondary.
+/// logical log, which nothing in this deployment reads, and drops the
+/// local->primary timestamp translations below its oldest open reader. An
+/// in-memory primary truncates its log below the sync point its secondaries
+/// still need to resync (ReplicationListener::MinAckFloor); a fresh
+/// secondary joins from a snapshot instead of a replay from LSN 0. A
+/// durable primary's log is truncated by its checkpointer only. Every site
+/// prunes the versions no open snapshot can see (Database::GarbageCollect),
+/// and a pass that freed anything hands free heap pages back to the kernel.
 class SiteServer {
  public:
   enum class Role { kPrimary, kSecondary };
@@ -121,7 +124,7 @@ class SiteServer {
   /// has nothing new to free; it is skipped and not counted.
   struct ReclaimStats {
     std::uint64_t passes = 0;
-    std::uint64_t log_records_dropped = 0;  // secondary log truncation
+    std::uint64_t log_records_dropped = 0;  // own log truncation
     std::uint64_t versions_pruned = 0;
     std::uint64_t trims = 0;  // passes that returned free pages (malloc_trim)
     double pass_p50_us = 0;   // pass duration, trim included
@@ -148,6 +151,8 @@ class SiteServer {
   /// Null unless this is a primary with a data_dir.
   wal::DurableLog* durable_log() { return durable_log_.get(); }
   engine::Checkpointer* checkpointer() { return checkpointer_.get(); }
+  /// Null unless this is a secondary.
+  replication::Secondary* secondary() { return secondary_.get(); }
   /// What Start() restored from the data directory.
   const engine::Database::RestoreReport& restore_report() const {
     return restore_report_;

@@ -300,6 +300,41 @@ TEST(DatabaseTest, StreamedCheckpointMatchesItsSnapshotUnderConcurrentGc) {
   }
 }
 
+TEST(DatabaseTest, ContentHashDependsOnStateNotOnHowItWasBuilt) {
+  // Same final state, reached through different write orders, overwrites,
+  // a delete, transaction groupings and shard layouts.
+  Database a;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(a.Put("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(a.Put("k7", "first").ok());
+  ASSERT_TRUE(a.Put("k7", "v7").ok());
+  ASSERT_TRUE(a.Put("gone", "x").ok());
+  ASSERT_TRUE(a.Delete("gone").ok());
+
+  DatabaseOptions one_shard;
+  one_shard.store_shards = 1;
+  Database b(one_shard);
+  auto t = b.Begin();
+  for (int i = 199; i >= 0; --i) {
+    ASSERT_TRUE(t->Put("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(t->Commit().ok());
+
+  EXPECT_EQ(a.ContentHash(), b.ContentHash());
+  EXPECT_NE(a.ContentHash(), Database().ContentHash());
+
+  // One byte of one value differs.
+  ASSERT_TRUE(b.Put("k123", "v124").ok());
+  EXPECT_NE(a.ContentHash(), b.ContentHash());
+  ASSERT_TRUE(b.Put("k123", "v123").ok());
+  EXPECT_EQ(a.ContentHash(), b.ContentHash());
+  // A value moved to another key is a different state too.
+  ASSERT_TRUE(b.Put("k1", "v2").ok());
+  ASSERT_TRUE(b.Put("k2", "v1").ok());
+  EXPECT_NE(a.ContentHash(), b.ContentHash());
+}
+
 TEST(DatabaseTest, LatestCommitTsAdvances) {
   Database db;
   EXPECT_EQ(db.LatestCommitTs(), 0u);

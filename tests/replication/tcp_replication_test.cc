@@ -6,11 +6,13 @@
 
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "engine/database.h"
 #include "net/event_loop.h"
 #include "replication/primary.h"
@@ -30,7 +32,7 @@ struct PrimaryProc {
   ReplicationListener listener;
 
   explicit PrimaryProc(ReplicationListener::Options options = {})
-      : listener(primary.propagator(), std::move(options)) {
+      : listener(&primary, std::move(options)) {
     EXPECT_TRUE(listener.Start().ok());
     primary.Start();
   }
@@ -49,6 +51,31 @@ struct PrimaryProc {
     }
     return last;
   }
+
+  /// Truncates the log as an in-memory SiteServer primary's reclaim pass
+  /// does; returns the new log base.
+  std::size_t Truncate() {
+    primary.propagator()->TruncateLogBelow(
+        static_cast<std::size_t>(listener.MinAckFloor()));
+    return db.log()->base_lsn();
+  }
+
+  /// Commits `n` rows "row-<i>" of `value_bytes` bytes each, `per_txn` rows
+  /// per transaction; returns the last commit timestamp.
+  Timestamp PutRows(int n, std::size_t value_bytes, int per_txn = 50) {
+    Timestamp last = 0;
+    for (int i = 0; i < n; i += per_txn) {
+      auto t = db.Begin();
+      for (int k = i; k < std::min(n, i + per_txn); ++k) {
+        EXPECT_TRUE(t->Put("row-" + std::to_string(k),
+                           std::to_string(k) + std::string(value_bytes, 'v'))
+                        .ok());
+      }
+      EXPECT_TRUE(t->Commit().ok());
+      last = t->commit_ts();
+    }
+    return last;
+  }
 };
 
 /// Secondary DB + refresh machinery + TCP stream client.
@@ -60,7 +87,7 @@ struct SecondaryProc {
   explicit SecondaryProc(std::uint16_t primary_port)
       : db(engine::DatabaseOptions{1, "tcp-sec"}),
         secondary(&db),
-        receiver(secondary.update_queue(), [primary_port] {
+        receiver(&secondary, [primary_port] {
           ReplicationReceiver::Options o;
           o.primary_port = primary_port;
           o.ack_interval = 4;
@@ -351,6 +378,211 @@ TEST(TcpReplicationTest, CutStormConvergesWithBatchingOnAndOff) {
     EXPECT_EQ(secondary.db.StateHash(), primary.db.StateHash());
     EXPECT_GE(secondary.receiver.stats().reconnects, 1u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot rejoin: a fresh secondary whose primary truncated its log.
+
+/// Polls `done` for up to 10 s.
+bool Eventually(const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (done()) return true;
+    std::this_thread::sleep_for(1ms);
+  }
+  return done();
+}
+
+TEST(TcpReplicationTest, SnapshotRejoinSpansManyFramesUnderASmallOutputCeiling) {
+  ReplicationListener::Options lo;
+  lo.max_batch_bytes = 4096;
+  lo.max_output_bytes = 16 * 1024;
+  PrimaryProc primary(lo);
+  const Timestamp last = primary.PutRows(2000, 200);
+  ASSERT_TRUE(Eventually([&] { return primary.Truncate() > 0; }));
+
+  SecondaryProc fresh(primary.listener.port());
+  ASSERT_TRUE(fresh.secondary.WaitForSeq(last, 10000ms));
+  EXPECT_EQ(fresh.db.ContentHash(), primary.db.ContentHash());
+  const auto ls = primary.listener.stats();
+  EXPECT_EQ(ls.snapshot_attaches, 1u);
+  EXPECT_EQ(ls.replay_attaches, 0u);
+  // ~420 KB of rows; a frame closes at the first row past 4 KiB, so this
+  // took more than 100 frames, each written only with the output buffer
+  // under its 16 KiB ceiling.
+  EXPECT_GT(ls.snapshot_bytes, 2000u * 200u);
+  EXPECT_GT(ls.snapshot_bytes, 100u * lo.max_batch_bytes);
+  // Counted just after the install, which is what wakes WaitForSeq.
+  EXPECT_TRUE(Eventually(
+      [&] { return fresh.receiver.stats().snapshots_installed == 1; }));
+  EXPECT_EQ(fresh.receiver.stats().reconnects, 0u);
+
+  // The stream goes on from the snapshot's sync point.
+  const Timestamp more = primary.PutN(20, "after");
+  ASSERT_TRUE(fresh.secondary.WaitForSeq(more, 10000ms));
+  EXPECT_EQ(fresh.db.ContentHash(), primary.db.ContentHash());
+}
+
+TEST(TcpReplicationTest, SnapshotRejoinUnderConcurrentCommitsAndTruncation) {
+  // Writers overwrite and delete a small key space while the log is
+  // truncated every millisecond, before, during and after the snapshot
+  // streams. Commits that straddle the pin are in the snapshot or in the
+  // stream after it, and the receiver turns the ones in both into aborts:
+  // none is lost and none applied twice.
+  ReplicationListener::Options lo;
+  lo.max_batch_bytes = 2048;
+  lo.max_output_bytes = 8 * 1024;
+  PrimaryProc primary(lo);
+  primary.PutRows(500, 100);
+  ASSERT_TRUE(Eventually([&] { return primary.Truncate() > 0; }));
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      Rng rng(100 + w);
+      while (!stop.load()) {
+        auto t = primary.db.Begin();
+        for (int k = 0; k < 4; ++k) {
+          const std::string key = "row-" + std::to_string(rng.Next(600));
+          if (rng.Bernoulli(0.2)) {
+            (void)t->Delete(key);
+          } else {
+            (void)t->Put(key, "w" + std::to_string(w) + "-" +
+                                  std::to_string(rng.Next(1 << 20)));
+          }
+        }
+        (void)t->Commit();  // first-committer-wins aborts are fine
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!stop.load()) {
+      primary.Truncate();
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+
+  std::this_thread::sleep_for(50ms);
+  SecondaryProc fresh(primary.listener.port());
+  ASSERT_TRUE(Eventually([&] { return fresh.receiver.welcomed(); }));
+  std::this_thread::sleep_for(100ms);
+  stop.store(true);
+  for (auto& t : threads) t.join();
+
+  ASSERT_TRUE(fresh.secondary.WaitForSeq(primary.db.LatestCommitTs(), 10000ms));
+  EXPECT_EQ(fresh.db.ContentHash(), primary.db.ContentHash());
+  EXPECT_TRUE(Eventually(
+      [&] { return fresh.receiver.stats().snapshots_installed == 1; }));
+  EXPECT_EQ(primary.listener.stats().snapshot_attaches, 1u);
+}
+
+TEST(TcpReplicationTest, CorruptSnapshotFrameIsRejectedAndTheRetrySucceeds) {
+  // A quarter of all frames is corrupted on the wire: a snapshot attempt
+  // that loses a frame to its CRC is cut and abandoned, and the fresh
+  // secondary, still holding nothing, asks again until one arrives whole.
+  ReplicationListener::Options lo;
+  lo.max_batch_bytes = 8192;
+  lo.faults.corrupt_probability = 0.25;
+  lo.fault_seed = 5;
+  PrimaryProc primary(lo);
+  const Timestamp last = primary.PutRows(200, 100);
+  ASSERT_TRUE(Eventually([&] { return primary.Truncate() > 0; }));
+
+  SecondaryProc fresh(primary.listener.port());
+  ASSERT_TRUE(fresh.secondary.WaitForSeq(last, 30000ms));
+  EXPECT_EQ(fresh.db.ContentHash(), primary.db.ContentHash());
+  EXPECT_TRUE(Eventually(
+      [&] { return fresh.receiver.stats().snapshots_installed == 1; }));
+  EXPECT_GT(fresh.receiver.stats().crc_rejected, 0u);
+  EXPECT_GT(primary.listener.stats().snapshot_attaches, 1u);
+}
+
+TEST(TcpReplicationTest, ReaderNeverSeesAPartialSnapshot) {
+  constexpr int kRows = 3000;
+  ReplicationListener::Options lo;
+  lo.max_batch_bytes = 1024;
+  lo.max_output_bytes = 4096;
+  PrimaryProc primary(lo);
+  const Timestamp last = primary.PutRows(kRows, 64);
+  ASSERT_TRUE(Eventually([&] { return primary.Truncate() > 0; }));
+
+  SecondaryProc fresh(primary.listener.port());
+  std::atomic<bool> stop{false};
+  std::atomic<int> scans{0};
+  std::atomic<int> partial{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      auto t = fresh.db.Begin(/*read_only=*/true);
+      auto rows = t->Scan("row-", "row-~");
+      ASSERT_TRUE(rows.ok());
+      if (!rows->empty() && rows->size() != kRows) partial.fetch_add(1);
+      (void)t->Commit();
+      scans.fetch_add(1);
+    }
+  });
+  ASSERT_TRUE(fresh.secondary.WaitForSeq(last, 10000ms));
+  stop.store(true);
+  reader.join();
+  EXPECT_GT(scans.load(), 0);
+  EXPECT_EQ(partial.load(), 0);
+  EXPECT_TRUE(Eventually(
+      [&] { return fresh.receiver.stats().snapshots_installed == 1; }));
+}
+
+TEST(TcpReplicationTest, CutAndRedialWithinTheGraceResumesFromTheLog) {
+  PrimaryProc primary;
+  SecondaryProc secondary(primary.listener.port());
+  Timestamp last = primary.PutN(40, "v1");
+  ASSERT_TRUE(secondary.secondary.WaitForSeq(last, 5000ms));
+
+  // The stream is down while commits go on and the log is truncated: the
+  // closed connection's ack still holds the floor, so the redial replays
+  // from the log.
+  secondary.receiver.Stop();
+  last = primary.PutN(40, "v2");
+  ASSERT_TRUE(Eventually(
+      [&] { return primary.primary.propagator()->position() ==
+                   primary.db.log()->Size(); }));
+  primary.Truncate();
+  secondary.receiver.Start();
+  ASSERT_TRUE(secondary.secondary.WaitForSeq(last, 5000ms));
+  EXPECT_EQ(secondary.db.StateHash(), primary.db.StateHash());
+  const auto ls = primary.listener.stats();
+  EXPECT_EQ(ls.snapshot_attaches, 0u);
+  EXPECT_EQ(ls.resume_refusals, 0u);
+  EXPECT_EQ(ls.replay_attaches, 2u);
+  EXPECT_EQ(secondary.receiver.stats().snapshots_installed, 0u);
+}
+
+TEST(TcpReplicationTest, ResumePastTheTruncatedLogIsRefusedOnce) {
+  PrimaryProc primary;
+  SecondaryProc secondary(primary.listener.port());
+  const Timestamp applied = primary.PutN(40, "v1");
+  ASSERT_TRUE(secondary.secondary.WaitForSeq(applied, 5000ms));
+
+  // Down for longer than the grace: the log moves on without it.
+  secondary.receiver.Stop();
+  std::this_thread::sleep_for(ReplicationListener::kResumeGrace + 100ms);
+  primary.PutN(40, "v2");
+  ASSERT_TRUE(Eventually([&] {
+    return primary.Truncate() > 0 &&
+           primary.primary.propagator()->SyncPointAtOrBefore(0).record_seq >
+               secondary.receiver.next_expected();
+  }));
+
+  secondary.receiver.Start();
+  ASSERT_TRUE(Eventually([&] { return secondary.receiver.refused(); }));
+  const auto dials = secondary.receiver.stats().dial_attempts;
+  std::this_thread::sleep_for(200ms);  // 1-20 ms redial backoff
+  const auto rs = secondary.receiver.stats();
+  EXPECT_EQ(rs.dial_attempts, dials);
+  EXPECT_EQ(rs.refusals, 1u);
+  EXPECT_EQ(primary.listener.stats().resume_refusals, 1u);
+  EXPECT_EQ(primary.listener.stats().snapshot_attaches, 0u);
+  // Still serving what it had.
+  EXPECT_EQ(secondary.secondary.applied_seq(), applied);
+  EXPECT_EQ(*secondary.db.Get("key-0"), "v1");
 }
 
 /// Reads the receiver's HELLO off a fake-primary socket and returns the

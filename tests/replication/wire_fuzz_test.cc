@@ -411,6 +411,89 @@ TEST(WireFuzzTest, BatchFrameAnySingleFlippedByteIsRejected) {
   EXPECT_EQ(records.size(), 6u);
 }
 
+std::vector<SnapshotRow> RandomRows(Rng* rng, int n) {
+  std::vector<SnapshotRow> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.emplace_back("k" + std::to_string(rng->Next(1 << 16)),
+                      std::string(rng->Next(48), 'v'));
+  }
+  return rows;
+}
+
+TEST(WireFuzzTest, SnapshotFrameRoundTrips) {
+  Rng rng(9101);
+  const auto rows = RandomRows(&rng, 20);
+  const std::string payload = EncodeSnapshotFramePayload(77, rows);
+  std::size_t offset = 0;
+  Timestamp as_of = 0;
+  std::vector<SnapshotRow> decoded;
+  ASSERT_TRUE(DecodeSnapshotFramePayload(payload, &offset, &as_of, &decoded));
+  EXPECT_EQ(as_of, 77u);
+  EXPECT_EQ(decoded, rows);
+  // Every proper prefix is rejected, and so are trailing bytes.
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    std::size_t off = 0;
+    std::vector<SnapshotRow> out;
+    EXPECT_FALSE(DecodeSnapshotFramePayload(payload.substr(0, cut), &off,
+                                            &as_of, &out))
+        << "prefix " << cut;
+    EXPECT_LE(off, cut);
+  }
+  std::size_t off = 0;
+  std::vector<SnapshotRow> out;
+  EXPECT_FALSE(
+      DecodeSnapshotFramePayload(payload + "x", &off, &as_of, &out));
+}
+
+TEST(WireFuzzTest, SnapshotFrameAnySingleFlippedByteIsRejected) {
+  // A flipped byte inside a snapshot row still decodes, and the receiver
+  // would install the damaged value: the CRC must catch every one. Flip
+  // each byte of a sealed SNAPSHOT frame on the wire, length prefix and
+  // trailer included.
+  Rng rng(9102);
+  std::string payload = EncodeSnapshotFramePayload(1234, RandomRows(&rng, 8));
+  SealReplFrame(&payload);
+  std::string wire;
+  net::AppendTcpFrame(&wire, payload);
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    std::string damaged = wire;
+    damaged[i] ^= static_cast<char>(1 + rng.Next(255));
+    net::TcpFramer framer;
+    framer.Feed(damaged);
+    auto frame = framer.Next();
+    if (frame.has_value()) {
+      EXPECT_FALSE(UnsealReplFrame(&*frame)) << "flipped byte " << i;
+    }
+  }
+  std::string intact = payload;
+  ASSERT_TRUE(UnsealReplFrame(&intact));
+  std::size_t offset = 0;
+  Timestamp as_of = 0;
+  std::vector<SnapshotRow> rows;
+  EXPECT_TRUE(DecodeSnapshotFramePayload(intact, &offset, &as_of, &rows));
+  EXPECT_EQ(rows.size(), 8u);
+}
+
+TEST(WireFuzzTest, SnapshotFrameMutationsNeverCrashOrOverread) {
+  Rng rng(9103);
+  const std::string payload =
+      EncodeSnapshotFramePayload(5, RandomRows(&rng, 12));
+  for (int round = 0; round < 2000; ++round) {
+    std::string damaged = payload;
+    const int flips = 1 + static_cast<int>(rng.Next(4));
+    for (int f = 0; f < flips; ++f) {
+      damaged[rng.Next(damaged.size())] ^=
+          static_cast<char>(1 + rng.Next(255));
+    }
+    std::size_t offset = 0;
+    Timestamp as_of = 0;
+    std::vector<SnapshotRow> rows;
+    if (!DecodeSnapshotFramePayload(damaged, &offset, &as_of, &rows)) {
+      EXPECT_LE(offset, damaged.size());
+    }
+  }
+}
+
 TEST(WireFuzzTest, BatchFrameOversizedLengthPrefixPoisons) {
   // Same clamp as every other frame: a corrupted length prefix on a BATCH
   // frame poisons the framer before any payload is buffered.

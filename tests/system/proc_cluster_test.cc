@@ -2,8 +2,10 @@
 // (binary path from the LAZYSI_SERVER_BIN environment variable, wired up by
 // CMake), drive them through the client wire API over loopback TCP, and
 // exercise the failure path the in-process suites cannot: kill -9 of a
-// secondary process followed by a fresh process resyncing via the
-// replication handshake's full-log replay (AttachSinkAt).
+// secondary process followed by a fresh process resyncing through the
+// replication handshake — a replay of the primary's log (AttachSinkAt) while
+// the log still reaches back far enough, a snapshot of the primary once it
+// has been truncated.
 
 #include <signal.h>
 #include <sys/types.h>
@@ -12,10 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -47,8 +52,10 @@ class ServerProcess {
 
   /// Spawns `role` ("primary"/"secondary"); secondaries dial `primary_repl`.
   /// `extra` is appended verbatim (e.g. "--data-dir=...", "--repl-port=...").
+  /// A non-empty `log_path` gets the child's stderr at INFO level.
   bool Spawn(const std::string& role, std::uint16_t primary_repl = 0,
-             int site_id = 1, std::vector<std::string> extra = {}) {
+             int site_id = 1, std::vector<std::string> extra = {},
+             const std::string& log_path = "") {
     static int counter = 0;
     port_file_ = testing::TempDir() + "lazysi_ports_" +
                  std::to_string(::getpid()) + "_" + std::to_string(counter++);
@@ -67,6 +74,11 @@ class ServerProcess {
 
     pid_ = ::fork();
     if (pid_ == 0) {
+      if (!log_path.empty()) {
+        std::FILE* log = std::freopen(log_path.c_str(), "w", stderr);
+        if (log == nullptr) ::_exit(126);
+        ::setenv("LAZYSI_LOG_LEVEL", "info", 1);
+      }
       ::execv(argv[0], argv.data());
       ::_exit(127);  // exec failed
     }
@@ -254,7 +266,8 @@ TEST_F(ProcClusterTest, KillNineSecondaryResyncsFromScratch) {
   PutN(&primary, &session, 25, "v", 25);
 
   // A fresh process has an empty database: its HELLO carries expected_seq 0
-  // and the primary answers with a full log replay (AttachSinkAt(0)).
+  // and the primary answers with a replay of its log from LSN 0 while it
+  // still holds it, and with a snapshot of its state once it has truncated.
   ServerProcess fresh;
   ASSERT_TRUE(fresh.Spawn("secondary", primary_proc.repl_port(), 2));
   RemoteSite replica;
@@ -497,6 +510,172 @@ TEST_F(ProcClusterTest, SecondaryRssLevelsOffUnderOverwrites) {
   EXPECT_EQ(primary_proc.Terminate(), 0);
 }
 
+TEST_F(ProcClusterTest, PrimaryRssLevelsOffUnderOverwrites) {
+  // The secondary test's workload, measured at an in-memory primary. Its
+  // logical log holds a copy of every value written; kept whole for a
+  // replay from LSN 0 it grew by 4 MiB per round. Truncated behind the
+  // secondary's acks, it stays within kSlackKib of round 2.
+  constexpr int kRounds = 10;
+  constexpr int kRows = 1024;
+  constexpr int kRowsPerTxn = 16;
+  constexpr long kSlackKib = 6 * 1024;
+  const std::string pad(4096, 'p');
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "RSS is the sanitizer allocator's, not the server's";
+#endif
+
+  ServerProcess primary_proc;
+  ASSERT_TRUE(primary_proc.Spawn("primary"));
+  ServerProcess sec;
+  ASSERT_TRUE(sec.Spawn("secondary", primary_proc.repl_port()));
+
+  RemoteSite primary;
+  ASSERT_TRUE(primary.Connect("127.0.0.1", primary_proc.client_port()).ok());
+  RemoteSite replica;
+  ASSERT_TRUE(replica.Connect("127.0.0.1", sec.client_port()).ok());
+  RemoteSession session;
+
+  std::vector<long> rss_kib;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int row = 0; row < kRows; row += kRowsPerTxn) {
+      ASSERT_TRUE(session.Begin(&primary, /*read_only=*/false).ok());
+      for (int i = row; i < row + kRowsPerTxn; ++i) {
+        ASSERT_TRUE(primary
+                        .Put("row-" + std::to_string(i),
+                             std::to_string(round) + pad)
+                        .ok());
+      }
+      ASSERT_TRUE(session.Commit(&primary).ok());
+    }
+    ASSERT_TRUE(replica.WaitSeq(session.seq()).ok());
+    std::this_thread::sleep_for(400ms);
+    rss_kib.push_back(RssKibOf(primary_proc.pid()));
+    ASSERT_GT(rss_kib.back(), 0);
+  }
+
+  std::string trace;
+  for (long kib : rss_kib) trace += " " + std::to_string(kib / 1024);
+  EXPECT_LE(rss_kib.back() - rss_kib[1], kSlackKib)
+      << "primary RSS per round (MiB):" << trace;
+
+  EXPECT_EQ(sec.Terminate(), 0);
+  EXPECT_EQ(primary_proc.Terminate(), 0);
+}
+
+/// Lowest LSN the durable log under `data_dir` still holds a segment for.
+std::uint64_t OldestSegmentLsn(const std::string& data_dir) {
+  std::uint64_t oldest = UINT64_MAX;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(data_dir + "/wal", ec)) {
+    if (entry.path().extension() != ".seg") continue;
+    oldest = std::min<std::uint64_t>(
+        oldest, std::stoull(entry.path().stem().string()));
+  }
+  return oldest;
+}
+
+/// How long the primary holds a closed replication connection's ack floor
+/// (ReplicationListener::kResumeGrace).
+constexpr auto kResumeGrace = 3s;
+
+TEST_F(ProcClusterTest, FreshSecondaryRejoinsTruncatedPrimary) {
+  // A secondary dies with kill -9; writes go on until the primary's log no
+  // longer reaches back to LSN 0; a fresh secondary must then join from a
+  // snapshot and land on the primary's exact state. In memory, the log is
+  // truncated by the primary's reclaim pass once the dead connection's
+  // grace has passed; with --data-dir, by the checkpointer, a 4 MiB log
+  // segment at a time.
+  const std::string pad(16 << 10, 'd');
+  for (const bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable primary" : "in-memory primary");
+    const std::string dir = testing::TempDir() + "lazysi_rejoin_" +
+                            std::to_string(::getpid()) +
+                            (durable ? "_durable" : "_memory");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::vector<std::string> primary_flags;
+    if (durable) {
+      primary_flags = {"--data-dir=" + dir + "/data", "--fsync-mode=never",
+                       "--checkpoint-interval-ms=200"};
+    }
+    ServerProcess primary_proc;
+    ASSERT_TRUE(primary_proc.Spawn("primary", 0, 1, primary_flags));
+    ServerProcess sec;
+    ASSERT_TRUE(sec.Spawn("secondary", primary_proc.repl_port(), 1));
+
+    RemoteSite primary;
+    ASSERT_TRUE(primary.Connect("127.0.0.1", primary_proc.client_port()).ok());
+    RemoteSession session;
+    PutN(&primary, &session, 25, "v", 0);
+    {
+      RemoteSite replica;
+      ASSERT_TRUE(replica.Connect("127.0.0.1", sec.client_port()).ok());
+      ASSERT_TRUE(replica.WaitSeq(session.seq()).ok());
+    }
+    sec.Kill9();
+
+    // 8 MiB of overwrites (two log segments' worth), then a pause past the
+    // dead connection's grace, then one more round, after which the log no
+    // longer holds LSN 0: in memory once a reclaim pass has run, on disk
+    // once a checkpoint dropped the first segment.
+    auto overwrite_round = [&](int round) {
+      for (int i = 0; i < 64; ++i) {
+        ASSERT_TRUE(session.Begin(&primary, /*read_only=*/false).ok());
+        ASSERT_TRUE(primary
+                        .Put("big-" + std::to_string(i),
+                             std::to_string(round) + pad)
+                        .ok());
+        ASSERT_TRUE(session.Commit(&primary).ok());
+      }
+    };
+    for (int round = 0; round < 8; ++round) overwrite_round(round);
+    std::this_thread::sleep_for(kResumeGrace + 500ms);
+    overwrite_round(8);
+    if (durable) {
+      const auto deadline = std::chrono::steady_clock::now() + 10s;
+      while (OldestSegmentLsn(dir + "/data") == 0) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "the checkpointer never truncated the log";
+        std::this_thread::sleep_for(20ms);
+      }
+    }
+    // Lets the truncation that started finish, memory included.
+    std::this_thread::sleep_for(500ms);
+
+    const std::string fresh_log = dir + "/fresh.log";
+    ServerProcess fresh;
+    ASSERT_TRUE(fresh.Spawn("secondary", primary_proc.repl_port(), 2, {},
+                            fresh_log));
+    RemoteSite replica;
+    ASSERT_TRUE(replica.Connect("127.0.0.1", fresh.client_port()).ok());
+    ASSERT_TRUE(replica.WaitSeq(session.seq()).ok());
+    auto primary_stats = primary.Stats();
+    auto replica_stats = replica.Stats();
+    ASSERT_TRUE(primary_stats.ok()) << primary_stats.status();
+    ASSERT_TRUE(replica_stats.ok()) << replica_stats.status();
+    EXPECT_EQ(replica_stats->content_hash, primary_stats->content_hash);
+    EXPECT_EQ(replica_stats->applied_seq, session.seq());
+
+    // The stream goes on from the snapshot.
+    PutN(&primary, &session, 10, "after", 100);
+    ASSERT_TRUE(replica.WaitSeq(session.seq()).ok());
+    ASSERT_TRUE(replica.Begin(/*read_only=*/true).ok());
+    auto value = replica.Get("key-109");
+    ASSERT_TRUE(value.ok()) << value.status();
+    EXPECT_EQ(*value, "after-109");
+    EXPECT_TRUE(replica.Commit().ok());
+
+    EXPECT_EQ(fresh.Terminate(), 0);
+    EXPECT_EQ(primary_proc.Terminate(), 0);
+    std::ifstream log(fresh_log);
+    const std::string text((std::istreambuf_iterator<char>(log)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("installed a snapshot"), std::string::npos) << text;
+    std::filesystem::remove_all(dir);
+  }
+}
+
 TEST_F(ProcClusterTest, SessionBeginBlocksUntilSecondaryCatchesUp) {
   ServerProcess primary_proc;
   ASSERT_TRUE(primary_proc.Spawn("primary"));
@@ -508,7 +687,9 @@ TEST_F(ProcClusterTest, SessionBeginBlocksUntilSecondaryCatchesUp) {
 
   // Start the secondary only after the updates exist: its first snapshot
   // trails the session, so the session's Begin must block on WaitForSeq
-  // until the replayed prefix reaches seq(c) — not return a stale snapshot.
+  // until the installed prefix (the primary's snapshot or a log replay,
+  // whichever the primary's log allows) reaches seq(c) — not return a stale
+  // snapshot.
   ServerProcess sec;
   ASSERT_TRUE(sec.Spawn("secondary", primary_proc.repl_port()));
   RemoteSite replica;

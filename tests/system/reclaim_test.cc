@@ -1,7 +1,9 @@
 // The site server's periodic reclaim pass, against in-process site servers:
-// a secondary keeps no logical log, every site prunes the versions no open
-// snapshot can see, an open reader pins what it still needs, and a durable
-// primary's log stays the checkpointer's alone to truncate.
+// a secondary keeps no logical log and a bounded translation table, an
+// in-memory primary keeps its log only back to what its secondaries need,
+// every site prunes the versions no open snapshot can see, an open reader
+// pins what it still needs, and a durable primary's log stays the
+// checkpointer's alone to truncate.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -114,10 +116,16 @@ TEST(ReclaimTest, SecondaryLogAndVersionsStayBoundedUnderOverwrites) {
   EXPECT_GT(sec.trims, 0u);
   EXPECT_GT(sec.pass_p50_us, 0.0);
   EXPECT_GE(sec.pass_max_us, sec.pass_p50_us);
-  // The in-memory primary keeps its whole log: a fresh secondary replays it
-  // from LSN 0.
-  EXPECT_EQ(primary.db()->log()->base_lsn(), 0u);
-  EXPECT_EQ(primary.reclaim_stats().log_records_dropped, 0u);
+  // The in-memory primary keeps its log only back to the sync point at or
+  // below the secondary's last ack (one per 64 propagation records, i.e. 32
+  // transactions of 10 log records each).
+  EXPECT_TRUE(Eventually([&] {
+    return primary.db()->log()->base_lsn() > 0 &&
+           primary.reclaim_stats().log_records_dropped ==
+               primary.db()->log()->base_lsn() &&
+           RetainedLog(&primary) <= 320u;
+  })) << "primary retains " << RetainedLog(&primary) << " of "
+      << primary.db()->log()->Size() << " log records";
 
   // An idle site skips its passes (after at most one more that saw a
   // commit land mid-pass).
@@ -173,6 +181,53 @@ TEST(ReclaimTest, OpenReaderPinsItsSnapshotAcrossPasses) {
       [&] { return secondary.db()->store()->VersionCount() == kKeys; }))
       << secondary.db()->store()->VersionCount();
   EXPECT_GT(secondary.reclaim_stats().passes, passes);
+}
+
+TEST(ReclaimTest, SecondaryTranslationsStayBoundedAndReadersKeepTheirPrefix) {
+  SiteServer primary(PrimaryOptions());
+  ASSERT_TRUE(primary.Start().ok());
+  SiteServer secondary(SecondaryOptions(primary.repl_port()));
+  ASSERT_TRUE(secondary.Start().ok());
+  replication::Secondary* replica_site = secondary.secondary();
+  ASSERT_NE(replica_site, nullptr);
+
+  RemoteSite writer;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", primary.client_port()).ok());
+  RemoteSite probe;
+  ASSERT_TRUE(probe.Connect("127.0.0.1", secondary.client_port()).ok());
+  RemoteSession session;
+
+  // A reader opened after round 0: passes over the later rounds must keep
+  // its snapshot's primary prefix resolvable.
+  const Timestamp round0 = OverwriteRound(&writer, &session, 0);
+  ASSERT_TRUE(probe.WaitSeq(round0).ok());
+  auto reader = secondary.db()->Begin(/*read_only=*/true);
+  const Timestamp prefix =
+      replica_site->PrimaryPrefixAtLocal(reader->snapshot_ts());
+  EXPECT_EQ(prefix, round0);
+  for (int round = 1; round <= 3; ++round) {
+    ASSERT_TRUE(probe.WaitSeq(OverwriteRound(&writer, &session, round)).ok());
+    ASSERT_TRUE(Eventually([&] { return RetainedLog(&secondary) == 0; }));
+    EXPECT_EQ(replica_site->PrimaryPrefixAtLocal(reader->snapshot_ts()),
+              prefix);
+  }
+  ASSERT_TRUE(reader->Commit().ok());
+
+  // Ten rounds of eight refresh commits each: without pruning the table
+  // would hold one entry per commit.
+  for (int round = 4; round < 14; ++round) {
+    const Timestamp seq = OverwriteRound(&writer, &session, round);
+    ASSERT_TRUE(probe.WaitSeq(seq).ok());
+    EXPECT_TRUE(
+        Eventually([&] { return replica_site->translation_count() <= 8u; }))
+        << "round " << round << ": " << replica_site->translation_count()
+        << " translations";
+  }
+  // A reader opened now still gets the exact prefix it reads.
+  auto begin = session.Begin(&probe, /*read_only=*/true);
+  ASSERT_TRUE(begin.ok()) << begin.status();
+  EXPECT_EQ(*begin, session.seq());
+  EXPECT_TRUE(probe.Commit().ok());
 }
 
 TEST(ReclaimTest, DurablePrimaryLogIsTruncatedOnlyByItsCheckpointer) {
