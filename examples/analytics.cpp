@@ -70,7 +70,8 @@ int main() {
               auto bf = t.Get(kf);
               auto bt = t.Get(kt);
               if (!bf.ok() || !bt.ok()) return Status::Internal("missing acct");
-              const long f = std::stol(*bf), g = std::stol(*bt);
+              const long f = std::stol(bf->ToString()),
+                         g = std::stol(bt->ToString());
               if (f < amount) return Status::OK();  // insufficient funds
               LAZYSI_RETURN_NOT_OK(t.Put(kf, std::to_string(f - amount)));
               return t.Put(kt, std::to_string(g + amount));
@@ -94,7 +95,7 @@ int main() {
       auto all = t.Scan("acct/", "acct0");
       if (!all.ok()) return all.status();
       rows = all->size();
-      for (const auto& [key, value] : *all) total += std::stol(value);
+      for (const auto& [key, value] : *all) total += std::stol(value.ToString());
       return Status::OK();
     });
     if (!st.ok()) {

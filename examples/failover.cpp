@@ -86,7 +86,7 @@ int main() {
     auto v = t.Get("postrecovery");
     if (!v.ok()) return Status::Internal("read-your-writes broken");
     std::printf("  read-your-writes on recovered secondary: %s\n",
-                v->c_str());
+                v->ToString().c_str());
     return Status::OK();
   });
   std::printf("  session read: %s\n", s.ToString().c_str());

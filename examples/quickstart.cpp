@@ -43,8 +43,8 @@ int main() {
     if (!name.ok() || !email.ok()) {
       return lazysi::Status::Internal("read-your-writes failed!");
     }
-    std::printf("read from secondary: name=%s email=%s\n", name->c_str(),
-                email->c_str());
+    std::printf("read from secondary: name=%s email=%s\n", name->ToString().c_str(),
+                email->ToString().c_str());
     return lazysi::Status::OK();
   });
   std::printf("read-only txn: %s\n", s.ToString().c_str());
@@ -66,7 +66,7 @@ int main() {
     auto increment = [](SystemTransaction& t) -> lazysi::Status {
       auto v = t.Get("counter");
       if (!v.ok()) return v.status();
-      return t.Put("counter", std::to_string(std::stoi(*v) + 1));
+      return t.Put("counter", std::to_string(std::stoi(v->ToString()) + 1));
     };
     // First-committer-wins can abort a racer; ExecuteUpdate retries with a
     // fresh snapshot, so no increment is ever lost.
@@ -80,7 +80,7 @@ int main() {
   sys.WaitForReplication();
   (void)client->ExecuteRead([](SystemTransaction& t) {
     std::printf("counter after 20 racing increments: %s\n",
-                t.Get("counter").ValueOr("?").c_str());
+                t.Get("counter").ValueOr("?").ToString().c_str());
     return lazysi::Status::OK();
   });
 

@@ -34,7 +34,7 @@ int main() {
     if (!txn.ok()) return 1;
     std::printf("  as of ts %llu: \"%s\"\n",
                 static_cast<unsigned long long>(edits[i]),
-                (*txn)->Get("doc/readme").ValueOr("?").c_str());
+                (*txn)->Get("doc/readme").ValueOr("?").ToString().c_str());
   }
 
   // Retention: prune everything older than the "reviewed" edit.
@@ -48,7 +48,7 @@ int main() {
   auto kept_read = db.BeginAtSnapshot(edits[2]);
   std::printf("  read at ts %llu still: \"%s\"\n",
               static_cast<unsigned long long>(edits[2]),
-              (*kept_read)->Get("doc/readme").ValueOr("?").c_str());
+              (*kept_read)->Get("doc/readme").ValueOr("?").ToString().c_str());
 
   // Durable restart: checkpoint now, keep editing, persist the log suffix,
   // then rebuild an identical database from the two files.
@@ -80,7 +80,7 @@ int main() {
   std::printf("restored state identical to original: %s\n",
               identical ? "yes" : "NO (BUG!)");
   std::printf("  doc/readme = \"%s\"\n",
-              restored.Get("doc/readme").ValueOr("?").c_str());
+              restored.Get("doc/readme").ValueOr("?").ToString().c_str());
   std::remove((dir + "lazysi_demo.ckpt").c_str());
   std::remove((dir + "lazysi_demo.log").c_str());
   return identical ? 0 : 1;

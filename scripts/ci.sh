@@ -42,7 +42,8 @@ for stage in $STAGES; do
       # Multi-process deployment smoke: build the site-server binary, then
       # run the fork/exec cluster suite (1 primary + secondaries over
       # loopback TCP, including kill -9 of a secondary followed by a fresh
-      # process resyncing via full log replay). The timeout guard keeps a
+      # process resyncing from the primary's log, or from a snapshot once
+      # the log has been truncated). The timeout guard keeps a
       # wedged child process from hanging CI: ctest's per-test TIMEOUT
       # reaps the test, and the test itself SIGKILLs servers that ignore
       # SIGTERM.

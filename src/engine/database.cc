@@ -18,14 +18,14 @@ std::unique_ptr<txn::Transaction> Database::Begin(bool read_only) {
   return txn_manager_.Begin(read_only);
 }
 
-Result<std::string> Database::Get(const std::string& key) {
+Result<storage::Value> Database::Get(const std::string& key) {
   auto t = Begin(/*read_only=*/true);
   auto value = t->Get(key);
   t->Commit().ok();  // read-only commit cannot fail
   return value;
 }
 
-Status Database::Put(const std::string& key, std::string value) {
+Status Database::Put(const std::string& key, storage::Value value) {
   auto t = Begin();
   LAZYSI_RETURN_NOT_OK(t->Put(key, std::move(value)));
   return t->Commit();
@@ -52,7 +52,13 @@ Database::Checkpoint Database::TakeCheckpoint() {
   Checkpoint cp;
   cp.as_of = pin.as_of;
   cp.lsn = pin.lsn;
-  cp.state = store_.Materialize(pin.as_of);
+  for (std::size_t shard = 0; shard < store_.shard_count(); ++shard) {
+    store_.ForEachVisibleInShard(
+        shard, pin.as_of,
+        [&cp](const std::string& key, const storage::Value& value) {
+          cp.state.emplace(key, value);
+        });
+  }
   return cp;
 }
 
@@ -134,7 +140,7 @@ std::uint64_t Database::ContentHash() {
   for (std::size_t shard = 0; shard < store_.shard_count(); ++shard) {
     store_.ForEachVisibleInShard(
         shard, pin->snapshot_ts(),
-        [&h](const std::string& key, const std::string& value) {
+        [&h](const std::string& key, const storage::Value& value) {
           h += HashMix(Fnv1a64(key), Fnv1a64(value));
         });
   }
@@ -251,7 +257,7 @@ void Database::OnStart(TxnId txn_id, Timestamp start_ts) {
 }
 
 void Database::OnUpdate(TxnId txn_id, const std::string& key,
-                        const std::string& value, bool deleted) {
+                        const storage::Value& value, bool deleted) {
   AppendLogRecord(wal::LogRecord::Update(txn_id, key, value, deleted),
                   kInvalidTimestamp);
 }

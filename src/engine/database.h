@@ -71,8 +71,8 @@ class Database : private txn::TxnObserver {
   }
 
   /// Auto-commit conveniences.
-  Result<std::string> Get(const std::string& key);
-  Status Put(const std::string& key, std::string value);
+  Result<storage::Value> Get(const std::string& key);
+  Status Put(const std::string& key, storage::Value value);
   Status Delete(const std::string& key);
 
   /// Timestamp of the most recent committed update transaction.
@@ -110,7 +110,8 @@ class Database : private txn::TxnObserver {
   /// only when the site is quiesced (no in-flight update transactions);
   /// `lsn` is the log position from which a recovering secondary must replay.
   struct Checkpoint {
-    std::map<std::string, std::string> state;
+    /// Shares the store's (or the decoded file's) value buffers.
+    std::map<std::string, storage::Value> state;
     Timestamp as_of = kInvalidTimestamp;
     std::size_t lsn = 0;
   };
@@ -188,8 +189,8 @@ class Database : private txn::TxnObserver {
   // txn::TxnObserver — wired into the TxnManager so the log sees every
   // update-transaction lifecycle event in timestamp order.
   void OnStart(TxnId txn_id, Timestamp start_ts) override;
-  void OnUpdate(TxnId txn_id, const std::string& key, const std::string& value,
-                bool deleted) override;
+  void OnUpdate(TxnId txn_id, const std::string& key,
+                const storage::Value& value, bool deleted) override;
   void OnCommit(TxnId txn_id, Timestamp commit_ts,
                 const storage::WriteSet& writes) override;
   void OnAbort(TxnId txn_id) override;

@@ -40,17 +40,19 @@ bool GetVarint(const std::string& data, std::size_t* offset,
   return false;
 }
 
-void PutString(std::string* out, const std::string& s) {
+void PutString(std::string* out, std::string_view s) {
   PutVarint(out, s.size());
   out->append(s);
 }
 
-bool GetString(const std::string& data, std::size_t* offset,
-               std::string* out) {
+/// Decodes varint(length) + bytes into a key string or a shared value.
+template <typename T>
+bool GetString(const std::string& data, std::size_t* offset, T* out) {
   std::uint64_t len = 0;
   if (!GetVarint(data, offset, &len)) return false;
-  if (*offset + len > data.size()) return false;
-  out->assign(data, *offset, len);
+  // Not `*offset + len > data.size()`: that sum wraps for len near 2^64.
+  if (len > data.size() - *offset) return false;
+  *out = T(std::string_view(data).substr(*offset, len));
   *offset += len;
   return true;
 }
@@ -87,7 +89,7 @@ class CheckpointFileWriter {
     return Status::OK();
   }
 
-  void Add(const std::string& key, const std::string& value) {
+  void Add(std::string_view key, std::string_view value) {
     PutString(&buffer_, key);
     PutString(&buffer_, value);
   }
@@ -140,7 +142,7 @@ Status SaveCheckpoint(Database* db, const Database::CheckpointPin& pin,
   for (std::size_t shard = 0; shard < store->shard_count(); ++shard) {
     store->ForEachVisibleInShard(
         shard, pin.as_of,
-        [&count](const std::string&, const std::string&) { ++count; });
+        [&count](const std::string&, const storage::Value&) { ++count; });
   }
   CheckpointFileWriter writer(path);
   LAZYSI_RETURN_NOT_OK(writer.Open(pin.as_of, pin.lsn, count));
@@ -149,7 +151,7 @@ Status SaveCheckpoint(Database* db, const Database::CheckpointPin& pin,
     // Encode under the shard's lock, write after releasing it.
     store->ForEachVisibleInShard(
         shard, pin.as_of,
-        [&](const std::string& key, const std::string& value) {
+        [&](const std::string& key, const storage::Value& value) {
           writer.Add(key, value);
           ++written;
         });
@@ -194,12 +196,13 @@ Result<Database::Checkpoint> LoadCheckpoint(const std::string& path) {
   cp.as_of = as_of;
   cp.lsn = lsn;
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::string key, value;
+    std::string key;
+    storage::Value value;
     if (!GetString(payload, &offset, &key) ||
         !GetString(payload, &offset, &value)) {
       return Status::InvalidArgument("checkpoint entry truncated");
     }
-    cp.state[key] = value;
+    cp.state[std::move(key)] = std::move(value);
   }
   if (offset != payload.size()) {
     return Status::InvalidArgument("checkpoint has trailing bytes");

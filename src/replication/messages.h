@@ -2,6 +2,7 @@
 #define LAZYSI_REPLICATION_MESSAGES_H_
 
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -30,6 +31,24 @@ struct PropStart {
 /// commit record so that aborted transactions are never shipped or applied at
 /// secondaries (Algorithm 3.1, line 8).
 struct PropCommit {
+  PropCommit() = default;
+  PropCommit(TxnId txn, Timestamp ts, std::vector<storage::Write> writes = {},
+             std::uint64_t stream_seq = 0, std::uint64_t filtered_out = 0)
+      : txn_id(txn),
+        commit_ts(ts),
+        updates(std::move(writes)),
+        seq(stream_seq),
+        filtered(filtered_out) {}
+  // Defined out of line (messages.cc). Inlined into std::variant's copy and
+  // move, the implicit ones read this alternative's fields on paths where
+  // another alternative is active, and GCC 12 reports those reads as
+  // uninitialized at every place a PropagationRecord is moved.
+  PropCommit(const PropCommit&);
+  PropCommit(PropCommit&&) noexcept;
+  PropCommit& operator=(const PropCommit&);
+  PropCommit& operator=(PropCommit&&) noexcept;
+  ~PropCommit();
+
   TxnId txn_id = kInvalidTxnId;
   Timestamp commit_ts = kInvalidTimestamp;
   /// T's updates in execution order. Under partial replication this is only

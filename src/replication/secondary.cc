@@ -126,7 +126,8 @@ void Secondary::InitializeSeq(Timestamp seq, Timestamp local_install_ts) {
   AdvanceSeq(seq);
 }
 
-void Secondary::StageSnapshotRow(std::string key, std::string value) {
+void Secondary::StageSnapshotRow(const std::string& key,
+                                 storage::Value value) {
   if (!snapshot_txn_) snapshot_txn_ = db_->Begin();
   (void)snapshot_txn_->Put(key, std::move(value));
 }

@@ -151,7 +151,7 @@ class Secondary {
   /// reader sees part of the snapshot. Call from one thread, on a site
   /// that holds no replicated state, before any record reaches the update
   /// queue.
-  void StageSnapshotRow(std::string key, std::string value);
+  void StageSnapshotRow(const std::string& key, storage::Value value);
   Status CommitSnapshot(Timestamp as_of);
   /// Drops the staged rows (the stream was cut mid-snapshot).
   void AbandonSnapshot();
@@ -191,12 +191,12 @@ class Secondary {
   /// coordinates.
   struct RemoteRead {
     bool found = false;
-    std::string value;
+    storage::Value value;
     Timestamp version_primary_ts = kInvalidTimestamp;
   };
   struct RemoteScanItem {
     std::string key;
-    std::string value;
+    storage::Value value;
     Timestamp version_primary_ts = kInvalidTimestamp;
   };
 

@@ -432,7 +432,7 @@ Result<std::uint64_t> ReplicationListener::StreamSnapshot(
     };
     store->ForEachVisibleInShard(
         shard, pin.as_of,
-        [&](const std::string& key, const std::string& value) {
+        [&](const std::string& key, const storage::Value& value) {
           if (options_.filter.active() && !options_.filter.CoversKey(key)) {
             return;
           }
@@ -899,7 +899,7 @@ bool ReplicationReceiver::HandleSnapshotFrame(const std::string& frame) {
   snapshot_as_of_ = as_of;
   snapshot_rows_ += rows.size();
   for (auto& [key, value] : rows) {
-    secondary_->StageSnapshotRow(std::move(key), std::move(value));
+    secondary_->StageSnapshotRow(key, std::move(value));
   }
   return true;
 }

@@ -89,7 +89,7 @@ constexpr char kReplSnapshotTag = 'S';  // as_of + count + (key, value)*
 constexpr char kReplRefuseTag = 'R';    // why the primary cannot resync
 
 /// One row of a snapshot: a key and its value at the snapshot.
-using SnapshotRow = std::pair<std::string, std::string>;
+using SnapshotRow = std::pair<std::string, storage::Value>;
 
 /// Appends the CRC-32C trailer to a replication-stream frame payload. The
 /// sealed frame is what crosses the wire inside the TCP length prefix.

@@ -41,20 +41,42 @@ bool GetVarint(const std::string& data, std::size_t* offset,
   return false;
 }
 
-void PutString(std::string* out, const std::string& s) {
+void PutString(std::string* out, std::string_view s) {
   PutVarint(out, s.size());
   out->append(s);
 }
 
-bool GetString(const std::string& data, std::size_t* offset,
-               std::string* out) {
+namespace {
+
+/// The bytes of the string at *offset, advancing past them; false when the
+/// length is malformed or runs past the end of `data`.
+bool GetBytes(const std::string& data, std::size_t* offset,
+              std::string_view* out) {
   std::uint64_t len = 0;
   if (!GetVarint(data, offset, &len)) return false;
   // Not `*offset + len > data.size()`: that sum wraps for attacker-chosen
   // len near 2^64 and would pass the check.
   if (len > data.size() - *offset) return false;
-  out->assign(data, *offset, len);
+  *out = std::string_view(data).substr(*offset, len);
   *offset += len;
+  return true;
+}
+
+}  // namespace
+
+bool GetString(const std::string& data, std::size_t* offset,
+               std::string* out) {
+  std::string_view bytes;
+  if (!GetBytes(data, offset, &bytes)) return false;
+  out->assign(bytes);
+  return true;
+}
+
+bool GetString(const std::string& data, std::size_t* offset,
+               storage::Value* out) {
+  std::string_view bytes;
+  if (!GetBytes(data, offset, &bytes)) return false;
+  *out = storage::Value(bytes);
   return true;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -30,12 +31,17 @@ bool GetVarint(const std::string& data, std::size_t* offset,
 
 /// Appends `s` as varint(length) + bytes. Exposed for the snapshot frames of
 /// the replication stream.
-void PutString(std::string* out, const std::string& s);
+void PutString(std::string* out, std::string_view s);
 
 /// Decodes a string written by PutString at *offset, advancing it. False on
 /// a malformed length or one that runs past the end of `data`.
 bool GetString(const std::string& data, std::size_t* offset,
                std::string* out);
+
+/// GetString into a fresh shared value: the one copy of a decoded value's
+/// bytes that the receiving site keeps.
+bool GetString(const std::string& data, std::size_t* offset,
+               storage::Value* out);
 
 /// Appends the encoding of `record` to `out`.
 void EncodeRecord(const PropagationRecord& record, std::string* out);

@@ -26,21 +26,15 @@ VersionedStore::VersionedStore(std::size_t shard_count)
 
 VersionedStore::~VersionedStore() {
   for (Shard& shard : shards_) {
-    // Every KeyNode ever created is reachable from its bucket (ghosts
-    // included); every live version node from its KeyNode head. Unlinked
-    // version nodes sit in the retired list.
-    for (std::atomic<KeyNode*>& bucket : shard.buckets) {
-      KeyNode* k = bucket.load(std::memory_order_relaxed);
-      while (k != nullptr) {
-        VersionNode* v = k->head.load(std::memory_order_relaxed);
-        while (v != nullptr) {
-          VersionNode* next = v->next.load(std::memory_order_relaxed);
-          delete v;
-          v = next;
-        }
-        KeyNode* next_key = k->bucket_next.load(std::memory_order_relaxed);
-        delete k;
-        k = next_key;
+    // Every linked version node is reachable from its KeyNode's head; the
+    // KeyNodes themselves go with the map. Unlinked version nodes sit in the
+    // retired list.
+    for (auto& [key, node] : shard.chains) {
+      VersionNode* v = node.head.load(std::memory_order_relaxed);
+      while (v != nullptr) {
+        VersionNode* next = v->next.load(std::memory_order_relaxed);
+        delete v;
+        v = next;
       }
     }
     for (VersionNode* v : shard.retired) delete v;
@@ -76,7 +70,7 @@ const VersionedStore::KeyNode* VersionedStore::FindKeyNode(
     const Shard& shard, std::uint64_t hash, const std::string& key) const {
   const KeyNode* k =
       shard.buckets[BucketOf(hash)].load(std::memory_order_acquire);
-  while (k != nullptr && (k->hash != hash || k->key != key)) {
+  while (k != nullptr && (k->hash != hash || *k->key != key)) {
     k = k->bucket_next.load(std::memory_order_acquire);
   }
   return k;
@@ -120,30 +114,24 @@ bool VersionedStore::HasCommitAfter(const std::string& key,
 
 VersionedStore::KeyNode* VersionedStore::FindOrCreateKeyNode(
     Shard& shard, std::uint64_t hash, const std::string& key) {
-  auto it = shard.chains.find(key);
-  if (it != shard.chains.end()) return it->second;
-  // The key may have been fully pruned earlier: its immortal KeyNode is
-  // still in the bucket (with a null head). Resurrect it rather than adding
-  // a duplicate a reader could shadow.
-  KeyNode* ghost = const_cast<KeyNode*>(FindKeyNode(shard, hash, key));
-  if (ghost != nullptr) {
-    shard.chains.emplace(key, ghost);
-    return ghost;
-  }
-  KeyNode* node = new KeyNode{key, hash};
+  // A fully pruned key is still here as a ghost (null head): the caller's
+  // write resurrects it, so no reader can ever find two nodes for one key.
+  auto [it, inserted] = shard.chains.try_emplace(key);
+  KeyNode* node = &it->second;
+  if (!inserted) return node;
+  node->key = &it->first;
+  node->hash = hash;
   std::atomic<KeyNode*>& bucket = shard.buckets[BucketOf(hash)];
   node->bucket_next.store(bucket.load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
   // Release: a reader that sees the new bucket head sees the node's key,
   // hash and bucket_next.
   bucket.store(node, std::memory_order_release);
-  shard.chains.emplace(key, node);
   return node;
 }
 
 bool VersionedStore::InsertVersionSorted(KeyNode* node, Timestamp commit_ts,
-                                         const std::string& value,
-                                         bool deleted) {
+                                         const Value& value, bool deleted) {
   VersionNode* head = node->head.load(std::memory_order_relaxed);
   if (head == nullptr || head->commit_ts < commit_ts) {
     VersionNode* v = new VersionNode{commit_ts, deleted, value};
@@ -202,6 +190,7 @@ void VersionedStore::Apply(const WriteSet& writes, Timestamp commit_ts) {
       v->next.store(head, std::memory_order_relaxed);
       // Release-publish: readers that see the new head see a complete node.
       node->head.store(v, std::memory_order_release);
+      if (head == nullptr) ++shard.live;
       if (head != nullptr || w.deleted) ListForPrune(shard, node);
     }
   }
@@ -236,11 +225,12 @@ void VersionedStore::ApplyBatch(const std::vector<TimestampedWrites>& batch) {
       KeyNode* node = FindOrCreateKeyNode(shard, Fnv1a64(w.key), w.key);
       const bool had_versions =
           node->head.load(std::memory_order_relaxed) != nullptr;
-      if (InsertVersionSorted(node, scratch[i].commit_ts, w.value,
-                              w.deleted) &&
-          (had_versions || w.deleted)) {
-        ListForPrune(shard, node);
+      if (!InsertVersionSorted(node, scratch[i].commit_ts, w.value,
+                               w.deleted)) {
+        continue;
       }
+      if (!had_versions) ++shard.live;
+      if (had_versions || w.deleted) ListForPrune(shard, node);
     }
   }
 }
@@ -262,7 +252,7 @@ std::vector<std::pair<std::string, VersionedValue>> VersionedStore::Scan(
     for (; it != shard.chains.end(); ++it) {
       if (!end.empty() && it->first >= end) break;
       const VersionNode* v = VisibleVersion(
-          it->second->head.load(std::memory_order_acquire), snapshot);
+          it->second.head.load(std::memory_order_acquire), snapshot);
       if (v != nullptr && !v->deleted) {
         run.emplace_back(it->first, VersionedValue{v->value, v->commit_ts});
       }
@@ -300,8 +290,8 @@ std::map<std::string, std::string> VersionedStore::Materialize(
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
     ForEachVisibleInShard(
         shard, snapshot,
-        [&out](const std::string& key, const std::string& value) {
-          out.emplace(key, value);
+        [&out](const std::string& key, const Value& value) {
+          out.emplace(key, value.ToString());
         });
   }
   return out;
@@ -309,13 +299,12 @@ std::map<std::string, std::string> VersionedStore::Materialize(
 
 void VersionedStore::ForEachVisibleInShard(
     std::size_t shard, Timestamp snapshot,
-    const std::function<void(const std::string&, const std::string&)>& fn)
-    const {
+    const std::function<void(const std::string&, const Value&)>& fn) const {
   const Shard& s = shards_[shard];
   std::shared_lock lock(s.mu);
   for (const auto& [key, node] : s.chains) {
     const VersionNode* v =
-        VisibleVersion(node->head.load(std::memory_order_acquire), snapshot);
+        VisibleVersion(node.head.load(std::memory_order_acquire), snapshot);
     if (v != nullptr && !v->deleted) fn(key, v->value);
   }
 }
@@ -352,13 +341,12 @@ std::size_t VersionedStore::PruneChain(Shard& shard, KeyNode* node,
     }
     // A chain reduced to a single deleted tombstone at or below the
     // horizon: the key no longer exists for any permissible snapshot.
-    // Unlink the chain and drop the key from the live map, but retire the
-    // tombstone (a reader at snapshot >= horizon may be holding it) and
-    // keep the KeyNode as a bucket ghost.
+    // Unlink the chain, but retire the tombstone (a reader at snapshot >=
+    // horizon may be holding it) and keep the KeyNode as a ghost.
     if (boundary == head && boundary->deleted) {
       node->head.store(nullptr, std::memory_order_release);
       shard.retired.push_back(boundary);
-      shard.chains.erase(node->key);
+      --shard.live;
       return dropped + 1;
     }
   }
@@ -396,16 +384,17 @@ void VersionedStore::InstallClone(const std::map<std::string, std::string>& stat
   for (Shard& shard : shards_) {
     std::unique_lock lock(shard.mu);
     for (auto& [key, node] : shard.chains) {
-      // Retire the whole old chain; recovery runs without concurrent
-      // readers, but deferring reclamation keeps even a stray one safe.
-      VersionNode* v = node->head.load(std::memory_order_relaxed);
-      node->head.store(nullptr, std::memory_order_release);
+      // Retire the whole old chain, leaving a ghost; recovery runs without
+      // concurrent readers, but deferring reclamation keeps even a stray
+      // one safe.
+      VersionNode* v = node.head.load(std::memory_order_relaxed);
+      node.head.store(nullptr, std::memory_order_release);
       while (v != nullptr) {
         shard.retired.push_back(v);
         v = v->next.load(std::memory_order_relaxed);
       }
     }
-    shard.chains.clear();
+    shard.live = 0;
     // The clone's chains hold one live version each: nothing to prune.
     for (KeyNode* node : shard.prune_list) node->listed = false;
     shard.prune_list.clear();
@@ -418,6 +407,7 @@ void VersionedStore::InstallClone(const std::map<std::string, std::string>& stat
     VersionNode* v = new VersionNode{commit_ts, /*deleted=*/false, value};
     v->next.store(nullptr, std::memory_order_relaxed);
     node->head.store(v, std::memory_order_release);
+    ++shard.live;
   }
 }
 
@@ -425,7 +415,7 @@ std::size_t VersionedStore::KeyCount() const {
   std::size_t n = 0;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    n += shard.chains.size();
+    n += shard.live;
   }
   return n;
 }
@@ -435,7 +425,7 @@ std::size_t VersionedStore::VersionCount() const {
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
     for (const auto& [key, node] : shard.chains) {
-      const VersionNode* v = node->head.load(std::memory_order_acquire);
+      const VersionNode* v = node.head.load(std::memory_order_acquire);
       while (v != nullptr) {
         ++n;
         v = v->next.load(std::memory_order_relaxed);

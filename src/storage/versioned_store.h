@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/timestamp.h"
+#include "storage/value.h"
 #include "storage/write_set.h"
 
 namespace lazysi {
@@ -23,7 +24,7 @@ namespace storage {
 /// the version it came from. The history checkers use the timestamp to decide
 /// which committed state a reader saw.
 struct VersionedValue {
-  std::string value;
+  Value value;  // shares the stored version's buffer
   Timestamp commit_ts = kInvalidTimestamp;
 };
 
@@ -36,11 +37,15 @@ struct VersionedValue {
 /// Layout — lock-free snapshot reads over lock-striped writers:
 ///
 ///  - Keys are hash-partitioned across a fixed set of shards. Each shard has
-///    (a) an ordered map used by writers, scans and counters under the
-///    shard's reader-writer lock, and (b) a fixed array of atomic bucket
-///    heads forming a lock-free hash index over immortal `KeyNode`s.
+///    (a) an ordered map from key to `KeyNode`, used by writers, scans and
+///    counters under the shard's reader-writer lock, and (b) a fixed array
+///    of atomic bucket heads forming a lock-free hash index over the same
+///    `KeyNode`s. A KeyNode lives inside its map node, so a key costs one
+///    allocation; the map never erases, so every KeyNode is immortal.
 ///  - A key's versions form a singly-linked, newest-first chain of
-///    heap-allocated nodes. Writers (serialized per shard by the lock)
+///    heap-allocated nodes. A node holds its value as a shared `Value`
+///    handle, so the store, the write set that installed it and the log
+///    record that carried it share one buffer. Writers (serialized per shard by the lock)
 ///    publish a new node with a release store of the chain head or of the
 ///    predecessor's `next`; every node is fully constructed before it is
 ///    published and immutable afterwards (only its `next` pointer changes,
@@ -56,7 +61,9 @@ struct VersionedValue {
 ///
 ///  - Shadowed tails: `PruneVersions(horizon)` cuts each chain after the
 ///    newest node with commit_ts <= horizon (the boundary node) and frees
-///    the tail immediately. This is safe without hazard pointers *provided
+///    the tail immediately (each freed node drops its reference to its
+///    value; the buffer outlives it while a log record, a queued commit or
+///    a reader's copy still holds a handle). This is safe without hazard pointers *provided
 ///    every concurrent lock-free reader runs at a snapshot >= horizon*: such
 ///    a reader stops at (or before) the boundary node — whose timestamp is
 ///    <= horizon <= its snapshot — and never loads the severed `next`.
@@ -74,9 +81,13 @@ struct VersionedValue {
 ///  - Unlinked boundary nodes (a fully-deleted key's tombstone) may still be
 ///    dereferenced by readers at snapshots >= horizon, so they are never
 ///    freed in place: they are retired to a list reclaimed only in the
-///    destructor. KeyNodes are immortal for the store's lifetime (a pruned
-///    key leaves a ghost KeyNode with a null chain in its bucket; rewriting
-///    the key resurrects the ghost).
+///    destructor. KeyNodes are immortal for the store's lifetime: a pruned
+///    key stays in its shard's map and bucket as a ghost with a null chain,
+///    which scans, ForEachVisibleInShard, KeyCount and VersionCount skip and
+///    a rewrite of the key resurrects.
+///  - Values: a reader copies the visible node's `Value` handle while the
+///    node is protected by the rules above, so the copy holds its own
+///    reference; freeing the node later never frees bytes a reader holds.
 ///
 /// Thread safety: all operations are safe for concurrent use. `Apply` locks
 /// one shard at a time and therefore does NOT make a multi-key commit visible
@@ -158,11 +169,11 @@ class VersionedStore {
   /// Calls `fn(key, value)` for every key of shard `shard` (< shard_count())
   /// visible at `snapshot`, in key order, under that shard's reader lock.
   /// Visiting every shard covers the whole state once without copying it,
-  /// which is how a checkpoint is streamed to disk.
+  /// which is how a checkpoint is streamed to disk. `value` is the stored
+  /// handle: copying it shares the buffer.
   void ForEachVisibleInShard(
       std::size_t shard, Timestamp snapshot,
-      const std::function<void(const std::string&, const std::string&)>& fn)
-      const;
+      const std::function<void(const std::string&, const Value&)>& fn) const;
 
   /// Drops all versions that are shadowed by a newer version with
   /// commit_ts <= horizon; the newest such version is kept so reads at or
@@ -199,7 +210,8 @@ class VersionedStore {
   /// Replaces the entire contents with `state`, all versions stamped
   /// `commit_ts`. Used when installing a recovery clone at a secondary.
   /// Old chains are retired, not freed, so stray concurrent readers (there
-  /// should be none during recovery) never touch freed memory.
+  /// should be none during recovery) never touch freed memory; every old
+  /// key becomes a ghost until the clone rewrites it.
   void InstallClone(const std::map<std::string, std::string>& state,
                     Timestamp commit_ts);
 
@@ -228,16 +240,17 @@ class VersionedStore {
   struct VersionNode {
     Timestamp commit_ts;
     bool deleted;
-    std::string value;
+    Value value;
     std::atomic<VersionNode*> next{nullptr};  // next-older version
   };
 
-  /// Immortal per-key anchor: lives in exactly one bucket chain from first
-  /// write until the store is destroyed. `head` is the newest version
-  /// (nullptr when the key is fully pruned — a ghost awaiting resurrection).
+  /// Immortal per-key anchor, embedded in its shard's map node: lives in
+  /// the map and in exactly one bucket chain from first write until the
+  /// store is destroyed. `head` is the newest version (nullptr when the key
+  /// is fully pruned — a ghost awaiting resurrection).
   struct KeyNode {
-    std::string key;
-    std::uint64_t hash;
+    const std::string* key = nullptr;  // the map node's key
+    std::uint64_t hash = 0;
     std::atomic<VersionNode*> head{nullptr};
     std::atomic<KeyNode*> bucket_next{nullptr};
     bool listed = false;  // on its shard's prune_list (under the shard's mu)
@@ -248,10 +261,13 @@ class VersionedStore {
 
   struct Shard {
     mutable std::shared_mutex mu;
-    /// Live keys; writers, scans and counters only (under `mu`).
-    std::map<std::string, KeyNode*> chains;
-    /// Lock-free reader index over all KeyNodes ever created in this shard
-    /// (including ghosts). Written only under `mu`, read without it.
+    /// Every key ever written to this shard, ghosts included; writers,
+    /// scans and counters only (under `mu`). Never erased from.
+    std::map<std::string, KeyNode> chains;
+    /// Keys in `chains` with a non-null head (under `mu`).
+    std::size_t live = 0;
+    /// Lock-free reader index over the KeyNodes in `chains`. Written only
+    /// under `mu`, read without it.
     std::vector<std::atomic<KeyNode*>> buckets =
         std::vector<std::atomic<KeyNode*>>(kBucketsPerShard);
     /// Unlinked version nodes that a concurrent reader may still hold;
@@ -272,7 +288,7 @@ class VersionedStore {
                              const std::string& key) const;
 
   /// Writer-side lookup-or-insert; caller holds the shard's unique lock.
-  /// Resurrects ghosts instead of creating duplicate KeyNodes.
+  /// A ghost is returned as is (its null head marks it).
   KeyNode* FindOrCreateKeyNode(Shard& shard, std::uint64_t hash,
                                const std::string& key);
 
@@ -281,7 +297,7 @@ class VersionedStore {
   /// writes). Returns false for a dropped duplicate. Caller holds the
   /// shard's unique lock.
   bool InsertVersionSorted(KeyNode* node, Timestamp commit_ts,
-                           const std::string& value, bool deleted);
+                           const Value& value, bool deleted);
 
   /// Lists `node` for the next prune after a write gave its chain a second
   /// version or a tombstone. Caller holds the shard's unique lock.

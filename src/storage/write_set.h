@@ -5,13 +5,15 @@
 #include <string>
 #include <vector>
 
+#include "storage/value.h"
+
 namespace lazysi {
 namespace storage {
 
 /// One buffered write of a transaction.
 struct Write {
   std::string key;
-  std::string value;  // empty when deleted
+  Value value;  // empty when deleted
   bool deleted = false;
 
   bool operator==(const Write& other) const = default;
@@ -23,13 +25,15 @@ struct Write {
 class WriteSet {
  public:
   /// Records a put; overwrites any earlier buffered write of the same key.
-  void Put(const std::string& key, std::string value) {
+  /// Passing a std::string copies its bytes into a new Value; passing a
+  /// Value shares its buffer.
+  void Put(const std::string& key, Value value) {
     writes_[key] = Write{key, std::move(value), /*deleted=*/false};
   }
 
   /// Records a delete.
   void Delete(const std::string& key) {
-    writes_[key] = Write{key, std::string(), /*deleted=*/true};
+    writes_[key] = Write{key, Value(), /*deleted=*/true};
   }
 
   /// Returns the buffered write for `key`, or nullptr.
@@ -46,7 +50,7 @@ class WriteSet {
   /// chains comparable across sites).
   const std::map<std::string, Write>& entries() const { return writes_; }
 
-  /// Flattened copy, key-ordered.
+  /// Flattened copy, key-ordered (values are shared, not copied).
   std::vector<Write> ToVector() const {
     std::vector<Write> out;
     out.reserve(writes_.size());

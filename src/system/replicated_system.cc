@@ -145,7 +145,7 @@ SystemTransaction::RemoteScanPartition(std::size_t partition,
       "no covering replica could serve the partition at this snapshot");
 }
 
-Result<std::string> SystemTransaction::Get(const std::string& key) {
+Result<storage::Value> SystemTransaction::Get(const std::string& key) {
   if (RemoteRouted(key)) {
     auto remote = RemoteReadKey(key);
     if (!remote.ok()) return remote.status();
@@ -163,7 +163,7 @@ Result<std::string> SystemTransaction::Get(const std::string& key) {
   return result;
 }
 
-Status SystemTransaction::Put(const std::string& key, std::string value) {
+Status SystemTransaction::Put(const std::string& key, storage::Value value) {
   if (read_only_) {
     return Status::InvalidArgument(
         "updates must go through BeginUpdate (read-only transaction)");
@@ -179,7 +179,7 @@ Status SystemTransaction::Delete(const std::string& key) {
   return txn_->Delete(key);
 }
 
-Result<std::vector<std::pair<std::string, std::string>>>
+Result<std::vector<std::pair<std::string, storage::Value>>>
 SystemTransaction::Scan(const std::string& begin, const std::string& end) {
   const std::size_t before = txn_->reads().size();
   auto result = txn_->Scan(begin, end);
@@ -195,7 +195,8 @@ SystemTransaction::Scan(const std::string& begin, const std::string& end) {
   // Partition-spanning scan: the local store holds only the home replica's
   // partitions, so fetch each uncovered partition's slice from a covering
   // replica at this transaction's primary snapshot and merge.
-  std::vector<std::pair<std::string, std::string>> merged = std::move(*result);
+  std::vector<std::pair<std::string, storage::Value>> merged =
+      std::move(*result);
   for (std::size_t p = 0; p < map.num_partitions(); ++p) {
     if (map.Covers(home, p)) continue;
     auto remote = RemoteScanPartition(p, begin, end);
@@ -205,7 +206,9 @@ SystemTransaction::Scan(const std::string& begin, const std::string& end) {
       merged.emplace_back(std::move(item.key), std::move(item.value));
     }
   }
-  std::sort(merged.begin(), merged.end());
+  // Keys are unique across partitions: ordering by key is the scan order.
+  std::sort(merged.begin(), merged.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   return merged;
 }
 
@@ -342,7 +345,15 @@ Status ClientConnection::ExecuteUpdate(
     last = (*txn)->Commit();
     if (last.ok()) return last;
     if (!last.IsWriteConflict()) return last;
-    // First-committer-wins abort: retry with a fresh snapshot.
+    // First-committer-wins abort: retry with a fresh snapshot. The winner
+    // committed above this snapshot and may still be installing; a retry
+    // that began before it turned visible would lose to it again, burning
+    // attempts while its thread is descheduled. The winner always
+    // publishes, so wait for the watermark to pass this snapshot.
+    const Timestamp stale = (*txn)->txn_->snapshot_ts();
+    while (sys_->primary_db()->LatestCommitTs() <= stale) {
+      std::this_thread::yield();
+    }
   }
   return last;
 }

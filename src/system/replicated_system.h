@@ -150,10 +150,10 @@ class SystemTransaction {
   /// Primary commit timestamp after a successful update commit.
   Timestamp commit_primary_ts() const { return commit_primary_ts_; }
 
-  Result<std::string> Get(const std::string& key);
-  Status Put(const std::string& key, std::string value);
+  Result<storage::Value> Get(const std::string& key);
+  Status Put(const std::string& key, storage::Value value);
   Status Delete(const std::string& key);
-  Result<std::vector<std::pair<std::string, std::string>>> Scan(
+  Result<std::vector<std::pair<std::string, storage::Value>>> Scan(
       const std::string& begin, const std::string& end);
 
   /// Commits; on update transactions advances seq(c) to commit_p(T)

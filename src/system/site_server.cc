@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <fstream>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -29,6 +31,30 @@ constexpr std::size_t kMaxCoalescedReplyBytes = 64 * 1024;
 // A client's full write window must never trip the default read pause.
 static_assert(2 * kMaxPipelinedWrites <=
               SiteServer::Options{}.max_pending_requests);
+
+/// Heap bytes in use, in KiB: what malloc handed out and has not had back
+/// (glibc only; -1 elsewhere).
+long HeapInUseKib() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 info = ::mallinfo2();
+  return static_cast<long>((info.uordblks + info.hblkhd) / 1024);
+#else
+  return -1;
+#endif
+}
+
+/// This process's resident set in KiB, from /proc/self/status; -1 when it
+/// cannot be read.
+long VmRssKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stol(line.substr(sizeof("VmRSS:") - 1));
+    }
+  }
+  return -1;
+}
 
 engine::DatabaseOptions DbOptionsFor(const SiteServer::Options& options) {
   engine::DatabaseOptions db;
@@ -185,17 +211,24 @@ void SiteServer::ScheduleReclaim() {
 }
 
 void SiteServer::Reclaim() {
-  // With neither value moved, the last pass already dropped every log
-  // record and version this one could. A pinned reader's release moves the
-  // oldest active snapshot, so the versions it held still get a pass.
+  // With none of these values moved, the last pass already dropped every
+  // log record and version this one could. A pinned reader's release moves
+  // the oldest active snapshot, so the versions it held still get a pass;
+  // a secondary's ack moves an in-memory primary's log floor, so the records
+  // it held are dropped even when no commit follows.
   const Timestamp latest = db_.LatestCommitTs();
   const Timestamp min_active = db_.txn_manager()->MinActiveSnapshot();
+  const bool truncates_log = options_.role == Role::kPrimary && !durable_log_;
+  const std::uint64_t log_floor =
+      truncates_log ? repl_listener_->MinAckFloor() : 0;
   if (latest == reclaim_seen_commit_ &&
-      min_active == reclaim_seen_min_active_) {
+      min_active == reclaim_seen_min_active_ &&
+      log_floor == reclaim_seen_log_floor_) {
     return;
   }
   reclaim_seen_commit_ = latest;
   reclaim_seen_min_active_ = min_active;
+  reclaim_seen_log_floor_ = log_floor;
   const auto start = std::chrono::steady_clock::now();
   std::size_t log_dropped = 0;
   if (options_.role == Role::kSecondary) {
@@ -208,11 +241,11 @@ void SiteServer::Reclaim() {
     // Every open reader's snapshot is at or above min_active, so its
     // primary prefix is at or above this horizon and stays resolvable.
     secondary_->PruneTranslations(secondary_->PrimaryPrefixAtLocal(min_active));
-  } else if (!durable_log_) {
+  } else if (truncates_log) {
     // Only secondaries that may still resync hold the log back; a fresh
     // one joins from a snapshot.
     log_dropped = primary_->propagator()->TruncateLogBelow(
-        static_cast<std::size_t>(repl_listener_->MinAckFloor()));
+        static_cast<std::size_t>(log_floor));
   }
   const std::size_t pruned = db_.GarbageCollect();
   bool trimmed = false;
@@ -281,12 +314,15 @@ void SiteServer::Stop() {
   if (durable_log_) durable_log_->Close();
   loop_->Stop();
   const ReclaimStats reclaim = reclaim_stats();
+  // Resident memory far above the heap in use is free memory scattered
+  // among live blocks, which no trim can return.
   LAZYSI_INFO(db_.options().name
               << " reclaim: " << reclaim.passes << " passes (p50 "
               << reclaim.pass_p50_us << " us, max " << reclaim.pass_max_us
               << " us), " << reclaim.log_records_dropped
               << " log records dropped, " << reclaim.versions_pruned
-              << " versions pruned, " << reclaim.trims << " trims");
+              << " versions pruned, " << reclaim.trims << " trims; heap in use "
+              << HeapInUseKib() << " KiB, VmRSS " << VmRssKib() << " KiB");
 }
 
 SiteServer::WireStats SiteServer::wire_stats() const {
@@ -541,7 +577,7 @@ std::string SiteServer::HandleRequest(
     }
     case kOpPut: {
       std::string key;
-      std::string value;
+      storage::Value value;
       if (!GetString(request, &off, &key) ||
           !GetString(request, &off, &value)) {
         PutStatus(&reply, Status::InvalidArgument("malformed put"));

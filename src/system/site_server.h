@@ -228,10 +228,11 @@ class SiteServer {
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<ClientConn>> conns_;
 
-  /// Commit watermark and oldest active snapshot the last reclaim pass saw;
-  /// touched only by the pass.
+  /// Commit watermark, oldest active snapshot and (in-memory primary) log
+  /// floor the last reclaim pass saw; touched only by the pass.
   Timestamp reclaim_seen_commit_ = kInvalidTimestamp;
   Timestamp reclaim_seen_min_active_ = kInvalidTimestamp;
+  std::uint64_t reclaim_seen_log_floor_ = 0;
   mutable std::mutex reclaim_mu_;  // guards the two below
   ReclaimStats reclaim_;
   Histogram reclaim_pass_us_{0, 2000, 400};

@@ -77,6 +77,13 @@ inline bool GetString(const std::string& data, std::size_t* offset,
   return true;
 }
 
+/// A value is parsed straight out of the request frame into the shared
+/// buffer the write set, the log and the store will hold.
+inline bool GetString(const std::string& data, std::size_t* offset,
+                      storage::Value* out) {
+  return replication::GetString(data, offset, out);
+}
+
 inline void PutStatus(std::string* out, const Status& status) {
   replication::PutVarint(out, static_cast<std::uint64_t>(status.code()));
   PutString(out, status.message());

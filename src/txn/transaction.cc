@@ -18,7 +18,7 @@ Transaction::~Transaction() {
   if (state_ == State::kActive) Abort();
 }
 
-Result<std::string> Transaction::Get(const std::string& key) {
+Result<storage::Value> Transaction::Get(const std::string& key) {
   if (state_ != State::kActive) {
     return Status::FailedPrecondition("transaction is not active");
   }
@@ -42,7 +42,7 @@ Result<std::string> Transaction::Get(const std::string& key) {
   return result.status();
 }
 
-Status Transaction::Put(const std::string& key, std::string value) {
+Status Transaction::Put(const std::string& key, storage::Value value) {
   if (state_ != State::kActive) {
     return Status::FailedPrecondition("transaction is not active");
   }
@@ -61,19 +61,19 @@ Status Transaction::Delete(const std::string& key) {
   if (read_only_) {
     return Status::InvalidArgument("Delete on a read-only transaction");
   }
-  manager_->NotifyUpdate(id_, key, std::string(), /*deleted=*/true);
+  manager_->NotifyUpdate(id_, key, storage::Value(), /*deleted=*/true);
   write_set_.Delete(key);
   return Status::OK();
 }
 
-Result<std::vector<std::pair<std::string, std::string>>> Transaction::Scan(
+Result<std::vector<std::pair<std::string, storage::Value>>> Transaction::Scan(
     const std::string& begin, const std::string& end) {
   if (state_ != State::kActive) {
     return Status::FailedPrecondition("transaction is not active");
   }
   auto snapshot = manager_->store()->Scan(begin, end, snapshot_ts_);
   // Overlay this transaction's own writes within the range.
-  std::map<std::string, std::string> merged;
+  std::map<std::string, storage::Value> merged;
   for (auto& [key, vv] : snapshot) {
     reads_.push_back(ReadObservation{key, vv.commit_ts, /*found=*/true,
                                      /*from_own_write=*/false});
@@ -88,7 +88,7 @@ Result<std::vector<std::pair<std::string, std::string>>> Transaction::Scan(
       merged[key] = w.value;
     }
   }
-  std::vector<std::pair<std::string, std::string>> out;
+  std::vector<std::pair<std::string, storage::Value>> out;
   out.reserve(merged.size());
   for (auto& [key, value] : merged) out.emplace_back(key, std::move(value));
   return out;

@@ -58,16 +58,19 @@ class Transaction {
   State state() const { return state_; }
 
   /// Snapshot read; sees the transaction's own buffered writes first
-  /// (SI requires a transaction to see its own updates, Section 2.1).
-  Result<std::string> Get(const std::string& key);
+  /// (SI requires a transaction to see its own updates, Section 2.1). The
+  /// result shares the stored buffer; no bytes are copied.
+  Result<storage::Value> Get(const std::string& key);
 
   /// Buffers an update. InvalidArgument on read-only transactions,
-  /// FailedPrecondition once no longer active.
-  Status Put(const std::string& key, std::string value);
+  /// FailedPrecondition once no longer active. The write set and the log
+  /// record share `value`'s buffer (a std::string argument is copied into
+  /// one here).
+  Status Put(const std::string& key, storage::Value value);
   Status Delete(const std::string& key);
 
   /// Key-ordered snapshot scan of [begin, end), own writes overlaid.
-  Result<std::vector<std::pair<std::string, std::string>>> Scan(
+  Result<std::vector<std::pair<std::string, storage::Value>>> Scan(
       const std::string& begin, const std::string& end);
 
   /// First-committer-wins validation and atomic version installation.

@@ -515,7 +515,7 @@ void TxnManager::AbortTxn(Transaction* t) {
 }
 
 void TxnManager::NotifyUpdate(TxnId id, const std::string& key,
-                              const std::string& value, bool deleted) {
+                              const storage::Value& value, bool deleted) {
   if (observer_ != nullptr) {
     observer_->OnUpdate(id, key, value, deleted);
   }

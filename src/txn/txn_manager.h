@@ -228,8 +228,8 @@ class TxnManager {
   /// Abort path; called by Transaction::Abort and failed commits.
   void AbortTxn(Transaction* t);
 
-  void NotifyUpdate(TxnId id, const std::string& key, const std::string& value,
-                    bool deleted);
+  void NotifyUpdate(TxnId id, const std::string& key,
+                    const storage::Value& value, bool deleted);
 
   /// Registers `commit_ts` as allocated-but-not-yet-installed. Caller holds
   /// clock_mu_; takes visible_mu_ (lock order: clock_mu_ -> visible_mu_).

@@ -26,8 +26,9 @@ class TxnObserver {
 
   /// An update transaction buffered a write. Called from the transaction's
   /// own thread, after its OnStart and before its OnCommit/OnAbort.
+  /// `value` is the write set's handle; keeping a copy shares its buffer.
   virtual void OnUpdate(TxnId txn_id, const std::string& key,
-                        const std::string& value, bool deleted) = 0;
+                        const storage::Value& value, bool deleted) = 0;
 
   /// An update transaction committed with commit_p(T) and the given final
   /// write set. Called under the timestamp mutex, after versions are

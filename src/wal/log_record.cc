@@ -37,18 +37,20 @@ bool GetVarint(const std::string& data, std::size_t* offset,
   return false;
 }
 
-void PutString(std::string* out, const std::string& s) {
+void PutString(std::string* out, std::string_view s) {
   PutVarint(out, s.size());
   out->append(s);
 }
 
-bool GetString(const std::string& data, std::size_t* offset,
-               std::string* out) {
+/// Decodes varint(length) + bytes into any type constructible from a
+/// string_view (a key string or a shared value).
+template <typename T>
+bool GetString(const std::string& data, std::size_t* offset, T* out) {
   std::uint64_t len = 0;
   if (!GetVarint(data, offset, &len)) return false;
   // Not `*offset + len > data.size()`: that sum wraps for len near 2^64.
   if (len > data.size() - *offset) return false;
-  out->assign(data, *offset, len);
+  *out = T(std::string_view(data).substr(*offset, len));
   *offset += len;
   return true;
 }
@@ -124,7 +126,7 @@ std::string LogRecord::ToString() const {
       break;
     case LogRecordType::kUpdate:
       os << "UPDATE txn=" << txn_id << " key=" << key
-         << (deleted ? " (delete)" : " value=" + value);
+         << (deleted ? " (delete)" : " value=" + value.ToString());
       break;
     case LogRecordType::kCommit:
       os << "COMMIT txn=" << txn_id << " ts=" << timestamp;

@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "common/timestamp.h"
+#include "storage/value.h"
 
 namespace lazysi {
 namespace wal {
@@ -33,7 +34,8 @@ struct LogRecord {
   TxnId txn_id = kInvalidTxnId;
   Timestamp timestamp = kInvalidTimestamp;
   std::string key;
-  std::string value;
+  /// Shared with the write set and the store version it came from.
+  storage::Value value;
   bool deleted = false;
 
   static LogRecord Start(TxnId txn, Timestamp start_ts) {
@@ -43,7 +45,7 @@ struct LogRecord {
     r.timestamp = start_ts;
     return r;
   }
-  static LogRecord Update(TxnId txn, std::string key, std::string value,
+  static LogRecord Update(TxnId txn, std::string key, storage::Value value,
                           bool deleted) {
     LogRecord r;
     r.type = LogRecordType::kUpdate;

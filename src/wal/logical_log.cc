@@ -1,6 +1,6 @@
 #include "wal/logical_log.h"
 
-#include <iterator>
+#include <algorithm>
 
 namespace lazysi {
 namespace wal {
@@ -9,8 +9,12 @@ std::size_t LogicalLog::Append(LogRecord record) {
   std::size_t lsn;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    lsn = base_lsn_ + records_.size();
-    records_.push_back(std::move(record));
+    lsn = base_lsn_ + size_;
+    if (chunks_.empty() || chunks_.back().size() == kChunkRecords) {
+      chunks_.emplace_back().reserve(kChunkRecords);
+    }
+    chunks_.back().push_back(std::move(record));
+    ++size_;
   }
   cv_.notify_all();
   return lsn;
@@ -18,7 +22,7 @@ std::size_t LogicalLog::Append(LogRecord record) {
 
 std::size_t LogicalLog::Size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return base_lsn_ + records_.size();
+  return base_lsn_ + size_;
 }
 
 std::size_t LogicalLog::base_lsn() const {
@@ -28,44 +32,45 @@ std::size_t LogicalLog::base_lsn() const {
 
 void LogicalLog::ResetBase(std::size_t base) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!records_.empty() || base_lsn_ != 0) return;
+  if (size_ != 0 || base_lsn_ != 0) return;
   base_lsn_ = base;
 }
 
 void LogicalLog::TruncateBelow(std::size_t lsn) {
-  // Dropped records are moved out under the lock and freed after it is
+  // Dropped chunks are moved out under the lock and freed after it is
   // released, so truncating a large prefix never stalls Append.
-  std::deque<LogRecord> dropped;
+  std::vector<std::vector<LogRecord>> dropped;
   std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t end = base_lsn_ + records_.size();
+  const std::size_t end = base_lsn_ + size_;
   if (lsn > end) lsn = end;
   if (lsn <= base_lsn_) return;
-  const auto cut =
-      records_.begin() + static_cast<std::ptrdiff_t>(lsn - base_lsn_);
-  if (cut == records_.end()) {
-    dropped.swap(records_);
-  } else {
-    dropped.assign(std::make_move_iterator(records_.begin()),
-                   std::make_move_iterator(cut));
-    records_.erase(records_.begin(), cut);
-  }
+  std::size_t cleared = front_;
+  front_ += lsn - base_lsn_;
+  size_ -= lsn - base_lsn_;
   base_lsn_ = lsn;
+  while (front_ >= kChunkRecords) {
+    dropped.push_back(std::move(chunks_.front()));
+    chunks_.pop_front();
+    front_ -= kChunkRecords;
+    cleared = 0;
+  }
+  // Truncated records of the chunk that stays let go of their keys and
+  // values now rather than when the chunk goes.
+  for (; cleared < front_; ++cleared) chunks_.front()[cleared] = LogRecord();
 }
 
 std::optional<LogRecord> LogicalLog::At(std::size_t lsn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (lsn < base_lsn_ || lsn - base_lsn_ >= records_.size()) {
-    return std::nullopt;
-  }
-  return records_[lsn - base_lsn_];
+  if (lsn < base_lsn_ || lsn - base_lsn_ >= size_) return std::nullopt;
+  return RecordAt(lsn);
 }
 
 bool LogicalLog::WaitForSize(std::size_t size,
                              std::chrono::milliseconds timeout) const {
   std::unique_lock<std::mutex> lock(mu_);
   return cv_.wait_for(lock, timeout, [&] {
-    return size <= base_lsn_ + records_.size() || closed_;
-  }) && size <= base_lsn_ + records_.size();
+    return size <= base_lsn_ + size_ || closed_;
+  }) && size <= base_lsn_ + size_;
 }
 
 void LogicalLog::Close() {
@@ -87,11 +92,12 @@ std::string LogicalLog::EncodeFrom(std::size_t from) const {
   std::vector<LogRecord> snapshot;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (from < base_lsn_) from = base_lsn_;
-    if (from > base_lsn_ + records_.size()) from = base_lsn_ + records_.size();
-    snapshot.assign(records_.begin() +
-                        static_cast<std::ptrdiff_t>(from - base_lsn_),
-                    records_.end());
+    const std::size_t end = base_lsn_ + size_;
+    from = std::clamp(from, base_lsn_, end);
+    snapshot.reserve(end - from);
+    for (std::size_t lsn = from; lsn < end; ++lsn) {
+      snapshot.push_back(RecordAt(lsn));
+    }
   }
   std::string out;
   for (const auto& record : snapshot) {

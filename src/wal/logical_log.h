@@ -60,10 +60,8 @@ class LogicalLog {
   std::size_t Visit(std::size_t from, std::size_t to, Fn&& fn) const {
     std::lock_guard<std::mutex> lock(mu_);
     if (from < base_lsn_) return 0;
-    const std::size_t end = std::min(to, base_lsn_ + records_.size());
-    for (std::size_t lsn = from; lsn < end; ++lsn) {
-      fn(records_[lsn - base_lsn_]);
-    }
+    const std::size_t end = std::min(to, base_lsn_ + size_);
+    for (std::size_t lsn = from; lsn < end; ++lsn) fn(RecordAt(lsn));
     return end > from ? end - from : 0;
   }
 
@@ -85,10 +83,28 @@ class LogicalLog {
   static Result<std::vector<LogRecord>> DecodeAll(const std::string& data);
 
  private:
+  /// Records per chunk. A record is a small header (its value is a shared
+  /// handle), appended by whichever thread commits, next to the values and
+  /// versions that thread allocates. Truncation frees whole chunks, i.e.
+  /// whole pages malloc can return, where a std::deque's 512-byte blocks
+  /// left holes among those live allocations.
+  static constexpr std::size_t kChunkRecords = 512;
+
+  /// The retained record with absolute LSN `lsn`; caller holds mu_ and has
+  /// checked base_lsn_ <= lsn < base_lsn_ + size_.
+  const LogRecord& RecordAt(std::size_t lsn) const {
+    const std::size_t pos = front_ + (lsn - base_lsn_);
+    return chunks_[pos / kChunkRecords][pos % kChunkRecords];
+  }
+
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
-  std::deque<LogRecord> records_;
-  std::size_t base_lsn_ = 0;  // absolute LSN of records_.front()
+  /// Every chunk but the last holds kChunkRecords records; the first
+  /// `front_` records of the first chunk are truncated (and cleared).
+  std::deque<std::vector<LogRecord>> chunks_;
+  std::size_t front_ = 0;
+  std::size_t size_ = 0;      // retained records
+  std::size_t base_lsn_ = 0;  // absolute LSN of the first retained record
   bool closed_ = false;
 };
 

@@ -219,7 +219,7 @@ TEST(DatabaseTest, CheckpointMatchesItsSnapshotUnderConcurrentGc) {
 
   // Replay the history once, comparing each checkpoint (taken in as_of
   // order) against the model at its as_of.
-  std::map<std::string, std::string> model;
+  std::map<std::string, storage::Value> model;
   std::size_t next = 0;
   for (const Database::Checkpoint& cp : checkpoints) {
     for (; next < history.size() && history[next].ts <= cp.as_of; ++next) {
@@ -285,7 +285,7 @@ TEST(DatabaseTest, StreamedCheckpointMatchesItsSnapshotUnderConcurrentGc) {
   ASSERT_TRUE(written);
   ASSERT_FALSE(checkpoints.empty());
 
-  std::map<std::string, std::string> model;
+  std::map<std::string, storage::Value> model;
   std::size_t next = 0;
   for (const Database::Checkpoint& cp : checkpoints) {
     for (; next < history.size() && history[next].ts <= cp.as_of; ++next) {

@@ -92,18 +92,18 @@ TEST_F(PhenomenaTest, P5WriteSkewAdmitted) {
   auto t2 = db_.Begin();
   // Each verifies x + y - 100 >= 0 on its snapshot, then withdraws 100 from
   // a different account.
-  const int sum1 = std::stoi(t1->Get("x").value()) +
-                   std::stoi(t1->Get("y").value());
-  const int sum2 = std::stoi(t2->Get("x").value()) +
-                   std::stoi(t2->Get("y").value());
+  const int sum1 = std::stoi(t1->Get("x").value().ToString()) +
+                   std::stoi(t1->Get("y").value().ToString());
+  const int sum2 = std::stoi(t2->Get("x").value().ToString()) +
+                   std::stoi(t2->Get("y").value().ToString());
   ASSERT_GE(sum1 - 100, 0);
   ASSERT_GE(sum2 - 100, 0);
   ASSERT_TRUE(t1->Put("x", "-50").ok());
   ASSERT_TRUE(t2->Put("y", "-50").ok());
   EXPECT_TRUE(t1->Commit().ok());
   EXPECT_TRUE(t2->Commit().ok());  // SI admits the anomaly
-  const int final_sum = std::stoi(db_.Get("x").value()) +
-                        std::stoi(db_.Get("y").value());
+  const int final_sum = std::stoi(db_.Get("x").value().ToString()) +
+                        std::stoi(db_.Get("y").value().ToString());
   EXPECT_LT(final_sum, 0);  // constraint violated: write skew happened
 }
 

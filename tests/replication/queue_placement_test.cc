@@ -26,7 +26,7 @@ TEST(QueuePlacementTest, InDatabaseQueueCausesFcwAborts) {
   for (auto* t : {enqueue_a.get(), enqueue_b.get()}) {
     auto tail = t->Get("queue/tail");
     ASSERT_TRUE(tail.ok());
-    const int slot = std::stoi(*tail);
+    const int slot = std::stoi(tail->ToString());
     ASSERT_TRUE(t->Put("queue/item/" + std::to_string(slot), "record").ok());
     ASSERT_TRUE(t->Put("queue/tail", std::to_string(slot + 1)).ok());
   }

@@ -415,7 +415,7 @@ TEST_P(VersionedStorePruneDiffTest, MatchesFullScanOnRandomHistories) {
       store.Apply(ws, commit_ts);
     }
     for (const auto& [key, w] : ws.entries()) {
-      model.Install(key, commit_ts, w.deleted, w.value);
+      model.Install(key, commit_ts, w.deleted, w.value.ToString());
     }
   };
   auto prune_and_compare = [&](Timestamp horizon, int step) {

@@ -111,7 +111,7 @@ TEST_P(ChaosEngineTest, FaultyTransportIsInvisibleToClients) {
                 const std::string key = "k" + std::to_string(rng.Next(10));
                 if (del) return t.Delete(key);
                 auto v = t.Get(key);
-                const int cur = v.ok() ? std::stoi(*v) : 0;
+                const int cur = v.ok() ? std::stoi(v->ToString()) : 0;
                 return t.Put(key, std::to_string(cur + 1));
               },
               /*max_attempts=*/50);

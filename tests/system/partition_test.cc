@@ -391,7 +391,7 @@ TEST(PartitionSystemTest, ConcurrentCrossPartitionHistoryIsStrongSessionSI) {
               [&](SystemTransaction& t) -> Status {
                 const std::string key = "k" + std::to_string(rng.Next(16));
                 auto v = t.Get(key);
-                const int cur = v.ok() ? std::stoi(*v) : 0;
+                const int cur = v.ok() ? std::stoi(v->ToString()) : 0;
                 return t.Put(key, std::to_string(cur + 1));
               },
               /*max_attempts=*/50);

@@ -435,17 +435,19 @@ TEST_F(ProcClusterTest, FanOutKeepsPrimaryThreadCountFlat) {
   EXPECT_EQ(primary_proc.Terminate(), 0);
 }
 
-/// Resident set size of another process in KiB, from /proc/<pid>/status.
-long RssKibOf(pid_t pid) {
+/// A KiB field ("VmRSS:", "VmHWM:") of another process's
+/// /proc/<pid>/status; -1 when absent.
+long StatusKibOf(pid_t pid, const std::string& field) {
   std::ifstream status("/proc/" + std::to_string(pid) + "/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) {
-      return std::stol(line.substr(sizeof("VmRSS:") - 1));
-    }
+    if (line.rfind(field, 0) == 0) return std::stol(line.substr(field.size()));
   }
   return -1;
 }
+
+/// Resident set size of another process in KiB.
+long RssKibOf(pid_t pid) { return StatusKibOf(pid, "VmRSS:"); }
 
 TEST_F(ProcClusterTest, SecondaryRssLevelsOffUnderOverwrites) {
   // Ten rounds each overwrite the same 4 MiB of rows. A secondary that kept
@@ -674,6 +676,153 @@ TEST_F(ProcClusterTest, FreshSecondaryRejoinsTruncatedPrimary) {
     EXPECT_NE(text.find("installed a snapshot"), std::string::npos) << text;
     std::filesystem::remove_all(dir);
   }
+}
+
+/// Loads `rows` 1 KiB rows into the primary the way bench/e2e does: four
+/// connections, each a contiguous share of the rows in transactions of 256
+/// Puts. Returns the last commit's primary timestamp.
+Timestamp BulkLoad(std::uint16_t primary_port, int rows) {
+  constexpr int kConns = 4;
+  constexpr int kPutsPerTxn = 256;
+  std::vector<Timestamp> last(kConns, 0);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConns; ++c) {
+    threads.emplace_back([&, c] {
+      RemoteSite site;
+      ASSERT_TRUE(site.Connect("127.0.0.1", primary_port).ok());
+      const int lo = rows / kConns * c;
+      const int hi = c + 1 == kConns ? rows : rows / kConns * (c + 1);
+      for (int first = lo; first < hi; first += kPutsPerTxn) {
+        ASSERT_TRUE(site.Begin(/*read_only=*/false).ok());
+        for (int row = first; row < std::min(first + kPutsPerTxn, hi); ++row) {
+          char key[16];
+          std::snprintf(key, sizeof(key), "k%08d", row);
+          ASSERT_TRUE(
+              site.Put(key, std::string(1024, static_cast<char>('a' + row % 26)))
+                  .ok());
+        }
+        auto commit = site.Commit();
+        ASSERT_TRUE(commit.ok()) << commit.status();
+        last[c] = std::max(last[c], *commit);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  return *std::max_element(last.begin(), last.end());
+}
+
+/// Waits until the site at `port` has applied `seq` (WaitSeq gives up after
+/// the server's read-block timeout, so it is retried up to 60 s).
+void WaitApplied(std::uint16_t port, Timestamp seq) {
+  RemoteSite site;
+  ASSERT_TRUE(site.Connect("127.0.0.1", port).ok());
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  while (!site.WaitSeq(seq).ok()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "site never applied seq " << seq;
+  }
+}
+
+TEST_F(ProcClusterTest, PrimaryRssTracksSecondariesAfterBulkLoad) {
+  // Every site holds the same 32 MiB of rows. A primary that also kept a
+  // copy of each value per log record and per queued commit freed those
+  // copies only after they had been laid down between the live versions,
+  // and carried the scattered free space as resident memory: 1.2x a
+  // secondary. Sharing one buffer per value leaves nothing to scatter.
+  constexpr int kRows = 32 * 1024;
+  constexpr double kMaxRatio = 1.10;
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "RSS is the sanitizer allocator's, not the server's";
+#endif
+  ServerProcess primary_proc;
+  ASSERT_TRUE(primary_proc.Spawn("primary"));
+  ServerProcess sec1;
+  ServerProcess sec2;
+  ASSERT_TRUE(sec1.Spawn("secondary", primary_proc.repl_port(), 1));
+  ASSERT_TRUE(sec2.Spawn("secondary", primary_proc.repl_port(), 2));
+
+  const Timestamp last = BulkLoad(primary_proc.client_port(), kRows);
+  ASSERT_GT(last, 0u);
+  WaitApplied(sec1.client_port(), last);
+  WaitApplied(sec2.client_port(), last);
+  // Two reclaim passes (one per 100 ms) after the catch-up.
+  std::this_thread::sleep_for(300ms);
+
+  const long primary_kib = RssKibOf(primary_proc.pid());
+  const long sec1_kib = RssKibOf(sec1.pid());
+  const long sec2_kib = RssKibOf(sec2.pid());
+  ASSERT_GT(primary_kib, 0);
+  ASSERT_GT(sec1_kib, 0);
+  ASSERT_GT(sec2_kib, 0);
+  const double mean_secondary_kib = (sec1_kib + sec2_kib) / 2.0;
+  EXPECT_LE(primary_kib, kMaxRatio * mean_secondary_kib)
+      << "VmRSS KiB: primary " << primary_kib << ", secondaries " << sec1_kib
+      << " and " << sec2_kib;
+
+  EXPECT_EQ(sec1.Terminate(), 0);
+  EXPECT_EQ(sec2.Terminate(), 0);
+  EXPECT_EQ(primary_proc.Terminate(), 0);
+}
+
+TEST_F(ProcClusterTest, SnapshotJoinPeaksNearReplayJoin) {
+  // One secondary follows a 32 MiB load as it streams in; a second joins
+  // after the in-memory primary truncated its log, so it installs a
+  // snapshot. Staged rows share their decoded buffers with the staging
+  // write set, the secondary's log and its store, so the snapshot join
+  // peaks near the streamed one instead of at twice the data.
+  constexpr int kRows = 32 * 1024;
+  constexpr double kMaxRatio = 1.3;
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "RSS is the sanitizer allocator's, not the server's";
+#endif
+  const std::string dir = testing::TempDir() + "lazysi_snapshot_peak_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ServerProcess primary_proc;
+  ASSERT_TRUE(primary_proc.Spawn("primary"));
+  ServerProcess streamed;
+  ASSERT_TRUE(streamed.Spawn("secondary", primary_proc.repl_port(), 1));
+
+  const Timestamp last = BulkLoad(primary_proc.client_port(), kRows);
+  ASSERT_GT(last, 0u);
+  WaitApplied(streamed.client_port(), last);
+  // Reclaim passes truncate the log behind the only secondary's acks.
+  std::this_thread::sleep_for(500ms);
+
+  const std::string log_path = dir + "/joined.log";
+  ServerProcess joined;
+  ASSERT_TRUE(
+      joined.Spawn("secondary", primary_proc.repl_port(), 2, {}, log_path));
+  WaitApplied(joined.client_port(), last);
+  std::this_thread::sleep_for(300ms);
+
+  const long streamed_hwm = StatusKibOf(streamed.pid(), "VmHWM:");
+  const long joined_hwm = StatusKibOf(joined.pid(), "VmHWM:");
+  ASSERT_GT(streamed_hwm, 0);
+  ASSERT_GT(joined_hwm, 0);
+  EXPECT_LE(joined_hwm, kMaxRatio * streamed_hwm)
+      << "VmHWM KiB: snapshot join " << joined_hwm << ", streamed "
+      << streamed_hwm;
+
+  RemoteSite primary;
+  RemoteSite replica;
+  ASSERT_TRUE(primary.Connect("127.0.0.1", primary_proc.client_port()).ok());
+  ASSERT_TRUE(replica.Connect("127.0.0.1", joined.client_port()).ok());
+  auto primary_stats = primary.Stats();
+  auto replica_stats = replica.Stats();
+  ASSERT_TRUE(primary_stats.ok()) << primary_stats.status();
+  ASSERT_TRUE(replica_stats.ok()) << replica_stats.status();
+  EXPECT_EQ(replica_stats->content_hash, primary_stats->content_hash);
+
+  EXPECT_EQ(joined.Terminate(), 0);
+  EXPECT_EQ(streamed.Terminate(), 0);
+  EXPECT_EQ(primary_proc.Terminate(), 0);
+  std::ifstream log(log_path);
+  const std::string text((std::istreambuf_iterator<char>(log)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("installed a snapshot"), std::string::npos) << text;
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ProcClusterTest, SessionBeginBlocksUntilSecondaryCatchesUp) {

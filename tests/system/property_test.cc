@@ -81,7 +81,7 @@ TEST_P(SystemPropertyTest, HistorySatisfiesGuarantee) {
                   const std::string key =
                       "k" + std::to_string(rng.Next(12));
                   auto v = t.Get(key);
-                  const int cur = v.ok() ? std::stoi(*v) : 0;
+                  const int cur = v.ok() ? std::stoi(v->ToString()) : 0;
                   LAZYSI_RETURN_NOT_OK(
                       t.Put(key, std::to_string(cur + 1)));
                 }

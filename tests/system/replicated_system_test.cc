@@ -82,7 +82,7 @@ TEST(ReplicatedSystemTest, ExecuteUpdateRetriesConflicts) {
             [](SystemTransaction& t) -> Status {
               auto v = t.Get("counter");
               if (!v.ok()) return v.status();
-              return t.Put("counter", std::to_string(std::stoi(*v) + 1));
+              return t.Put("counter", std::to_string(std::stoi(v->ToString()) + 1));
             },
             /*max_attempts=*/100);
         ASSERT_TRUE(s.ok()) << s;

@@ -88,7 +88,7 @@ TEST(ConcurrentStressTest, WritersReadersAndGcPreserveSnapshotIsolation) {
         auto txn = db.Begin();
         auto current = txn->Get(InvKey(0));
         ASSERT_TRUE(current.ok());
-        const std::string next = std::to_string(std::stoll(*current) + 1);
+        const std::string next = std::to_string(std::stoll(current->ToString()) + 1);
         bool ok = true;
         for (int k = 0; k < kInvariantKeys; ++k) {
           ok = ok && txn->Put(InvKey(k), next).ok();
@@ -133,7 +133,7 @@ TEST(ConcurrentStressTest, WritersReadersAndGcPreserveSnapshotIsolation) {
         for (int k = 0; k < kInvariantKeys; ++k) {
           auto v = txn->Get(InvKey(k));
           ASSERT_TRUE(v.ok());
-          values.push_back(*v);
+          values.push_back(v->ToString());
         }
         for (const auto& v : values) {
           if (v != values.front()) torn_snapshots.fetch_add(1);
@@ -156,7 +156,7 @@ TEST(ConcurrentStressTest, WritersReadersAndGcPreserveSnapshotIsolation) {
       for (int k = 0; k < kInvariantKeys; ++k) {
         auto v = (*pinned)->Get(InvKey(k));
         ASSERT_TRUE(v.ok()) << "GC pruned a version pinned by a snapshot";
-        values.push_back(*v);
+        values.push_back(v->ToString());
       }
       for (const auto& v : values) EXPECT_EQ(v, values.front());
       (*pinned)->Abort();
@@ -174,7 +174,7 @@ TEST(ConcurrentStressTest, WritersReadersAndGcPreserveSnapshotIsolation) {
   // number of successful invariant commits.
   auto final_value = db.Get(InvKey(0));
   ASSERT_TRUE(final_value.ok());
-  EXPECT_EQ(std::stoll(*final_value), invariant_commits.load());
+  EXPECT_EQ(std::stoll(final_value->ToString()), invariant_commits.load());
 
   history::SIChecker checker(recorder.Snapshot());
   auto weak = checker.CheckWeakSI();
@@ -233,7 +233,7 @@ TEST(ConcurrentStressTest, LockFreeHotReadsRaceWritersAndGc) {
         auto v = txn->Get("hot");
         ASSERT_TRUE(v.ok()) << "GC reclaimed the version a lock-free "
                                "snapshot was reading";
-        const long long seen = std::stoll(*v);
+        const long long seen = std::stoll(v->ToString());
         // visible_ts only advances, so per-thread snapshots are monotone.
         ASSERT_GE(seen, last_seen);
         last_seen = seen;

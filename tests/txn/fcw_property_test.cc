@@ -51,7 +51,7 @@ TEST_P(FcwPropertyTest, NoLostUpdates) {
           auto t = manager.Begin();
           auto v = t->Get(key);
           ASSERT_TRUE(v.ok());
-          const long cur = std::stol(*v);
+          const long cur = std::stol(v->ToString());
           ASSERT_TRUE(t->Put(key, std::to_string(cur + 1)).ok());
           Status s = t->Commit();
           if (s.ok()) {
@@ -69,7 +69,7 @@ TEST_P(FcwPropertyTest, NoLostUpdates) {
     auto t = manager.Begin(/*read_only=*/true);
     auto v = t->Get("counter/" + std::to_string(c));
     ASSERT_TRUE(v.ok());
-    EXPECT_EQ(std::stol(*v), successes[c].load())
+    EXPECT_EQ(std::stol(v->ToString()), successes[c].load())
         << "lost update on counter " << c;
   }
   // Note: whether conflicts actually occurred depends on thread scheduling

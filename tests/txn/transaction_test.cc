@@ -71,9 +71,9 @@ TEST_F(TransactionTest, ScanSnapshotWithOwnWritesOverlay) {
   auto rows = t->Scan("", "");
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 3u);
-  EXPECT_EQ((*rows)[0], (std::pair<std::string, std::string>{"a", "1"}));
-  EXPECT_EQ((*rows)[1], (std::pair<std::string, std::string>{"b", "B"}));
-  EXPECT_EQ((*rows)[2], (std::pair<std::string, std::string>{"d", "D"}));
+  EXPECT_EQ((*rows)[0], (std::pair<std::string, storage::Value>{"a", "1"}));
+  EXPECT_EQ((*rows)[1], (std::pair<std::string, storage::Value>{"b", "B"}));
+  EXPECT_EQ((*rows)[2], (std::pair<std::string, storage::Value>{"d", "D"}));
 }
 
 TEST_F(TransactionTest, ScanRangeBounds) {

@@ -80,6 +80,35 @@ TEST(LogicalLogTest, TruncatingEverythingKeepsAbsoluteLsns) {
   EXPECT_EQ(log.At(3)->txn_id, 4u);
 }
 
+TEST(LogicalLogTest, TruncationAcrossStorageChunksKeepsEveryLsn) {
+  // Cuts inside a chunk, on a chunk boundary, past several chunks and at
+  // the very end, each followed by more appends: every retained LSN still
+  // reads its own record, and a truncated one reads nothing.
+  LogicalLog log;
+  std::size_t next = 0;
+  auto append = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i, ++next) {
+      ASSERT_EQ(log.Append(LogRecord::Start(next, next + 1)), next);
+    }
+  };
+  append(1300);
+  for (std::size_t cut : {7u, 512u, 513u, 1100u, 1300u}) {
+    log.TruncateBelow(cut);
+    EXPECT_EQ(log.base_lsn(), cut);
+    EXPECT_FALSE(log.At(cut - 1).has_value());
+    append(300);
+    std::size_t lsn = cut;
+    const std::size_t visited =
+        log.Visit(cut, log.Size(), [&](const LogRecord& rec) {
+          EXPECT_EQ(rec.txn_id, lsn);
+          ++lsn;
+        });
+    EXPECT_EQ(visited, log.Size() - cut);
+    ASSERT_TRUE(log.At(log.Size() - 1).has_value());
+    EXPECT_EQ(log.At(log.Size() - 1)->txn_id, log.Size() - 1);
+  }
+}
+
 TEST(LogicalLogTest, EncodeDecodeSuffix) {
   LogicalLog log;
   log.Append(LogRecord::Start(1, 1));
