@@ -47,6 +47,7 @@ inline std::vector<Row> SweepAlgorithms(
         case session::Guarantee::kWeakSI: row.weak = r; break;
         case session::Guarantee::kStrongSessionSI: row.session = r; break;
         case session::Guarantee::kStrongSI: row.strong = r; break;
+        case session::Guarantee::kPrefixConsistentSI: break;  // not plotted
       }
     }
     rows.push_back(row);

@@ -134,14 +134,15 @@ std::uint64_t Database::ContentHash() {
   // Pinned like TakeCheckpoint, so a concurrent GarbageCollect cannot drop
   // a version of the snapshot being hashed. Rows are hashed in place, shard
   // by shard, and summed: the sum does not depend on the order rows are
-  // visited in, so sites with different shard layouts still agree.
+  // visited in, so sites with different shard layouts still agree. Each row
+  // is digested as the state chain digests a write of it.
   auto pin = txn_manager_.BeginReadOnly();
   std::uint64_t h = 0;
   for (std::size_t shard = 0; shard < store_.shard_count(); ++shard) {
     store_.ForEachVisibleInShard(
         shard, pin->snapshot_ts(),
         [&h](const std::string& key, const storage::Value& value) {
-          h += HashMix(Fnv1a64(key), Fnv1a64(value));
+          h += WriteDigest(key, value, /*deleted=*/false);
         });
   }
   return h;
@@ -213,7 +214,7 @@ Result<Database::RestoreReport> Database::RestoreFromDurable(
             std::lock_guard<std::mutex> lock(chain_mu_);
             if (it != updates.end()) {
               for (const auto& [key, w] : it->second.entries()) {
-                chain_.FoldWrite(key, w.value, w.deleted);
+                chain_.FoldDigest(w.digest);
               }
             }
             chain_.SealTransaction();
@@ -266,9 +267,11 @@ void Database::OnCommit(TxnId txn_id, Timestamp commit_ts,
                         const storage::WriteSet& writes) {
   AppendLogRecord(wal::LogRecord::Commit(txn_id, commit_ts), commit_ts);
   if (commit_hook_) commit_hook_(txn_id, commit_ts);
+  // Runs under the TxnManager's timestamp mutex: fold the digests the write
+  // set computed as each write was buffered, and read no value bytes here.
   std::lock_guard<std::mutex> lock(chain_mu_);
   for (const auto& [key, w] : writes.entries()) {
-    chain_.FoldWrite(key, w.value, w.deleted);
+    chain_.FoldDigest(w.digest);
   }
   chain_.SealTransaction();
   if (options_.record_state_chain) {

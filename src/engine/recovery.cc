@@ -5,57 +5,21 @@
 #include <map>
 #include <memory>
 
+#include "common/codec.h"
 #include "common/durable_file.h"
 #include "common/hash.h"
 
 namespace lazysi {
 namespace engine {
 
+using codec::GetString;
+using codec::GetVarint;
+using codec::PutString;
+using codec::PutVarint;
+
 namespace {
 
 constexpr char kMagic[8] = {'L', 'Z', 'S', 'I', 'C', 'K', 'P', '1'};
-
-void PutVarint(std::string* out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-bool GetVarint(const std::string& data, std::size_t* offset,
-               std::uint64_t* out) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (*offset < data.size() && shift <= 63) {
-    auto b = static_cast<unsigned char>(data[*offset]);
-    ++(*offset);
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) {
-      *out = v;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutVarint(out, s.size());
-  out->append(s);
-}
-
-/// Decodes varint(length) + bytes into a key string or a shared value.
-template <typename T>
-bool GetString(const std::string& data, std::size_t* offset, T* out) {
-  std::uint64_t len = 0;
-  if (!GetVarint(data, offset, &len)) return false;
-  // Not `*offset + len > data.size()`: that sum wraps for len near 2^64.
-  if (len > data.size() - *offset) return false;
-  *out = T(std::string_view(data).substr(*offset, len));
-  *offset += len;
-  return true;
-}
 
 void AppendLE64(std::string* out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {

@@ -7,8 +7,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <memory>
 #include <utility>
-#include <vector>
 
 namespace lazysi {
 namespace net {
@@ -33,7 +33,8 @@ Connection::Connection(EventLoop* loop, int fd, Options options,
     : loop_(loop),
       fd_(fd),
       options_(std::move(options)),
-      callbacks_(std::move(callbacks)) {}
+      callbacks_(std::move(callbacks)),
+      read_buf_(std::make_unique_for_overwrite<char[]>(options_.read_chunk)) {}
 
 Connection::~Connection() {
   // DoClose already ran (it holds the only paths that release the epoll
@@ -89,20 +90,20 @@ void Connection::OnEvents(std::uint32_t events) {
 }
 
 void Connection::ReadReady() {
-  std::vector<char> buf(options_.read_chunk);
   // A few reads per event keeps one chatty peer from starving the rest of
   // the loop; level-triggered epoll re-reports whatever is left.
   for (int round = 0; round < 4; ++round) {
-    const ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
+    const ssize_t n = ::recv(fd_, read_buf_.get(), options_.read_chunk, 0);
     if (n > 0) {
       bytes_received_.fetch_add(static_cast<std::uint64_t>(n),
                                 std::memory_order_relaxed);
       if (callbacks_.on_bytes) {
         callbacks_.on_bytes(
-            *this, std::string_view(buf.data(), static_cast<std::size_t>(n)));
+            *this,
+            std::string_view(read_buf_.get(), static_cast<std::size_t>(n)));
       }
       if (close_done_) return;
-      if (static_cast<std::size_t>(n) < buf.size()) return;
+      if (static_cast<std::size_t>(n) < options_.read_chunk) return;
       continue;
     }
     if (n == 0) {
@@ -137,7 +138,7 @@ void Connection::ArmWrite(bool enable) {
 void Connection::UpdateEpollMask() {
   // With reads paused and no flush pending the mask is empty, but EPOLLHUP /
   // EPOLLERR are always reported, so a dying peer still reaches OnEvents.
-  std::uint32_t events = read_paused_ ? 0 : EPOLLIN;
+  std::uint32_t events = read_paused_ ? 0u : std::uint32_t{EPOLLIN};
   if (epollout_armed_) events |= EPOLLOUT;
   loop_->ModFd(fd_, events);
 }

@@ -118,6 +118,9 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::atomic<bool> flush_posted_{false};
 
   // Loop-thread-only state.
+  /// options_.read_chunk bytes that every read of this connection lands in;
+  /// allocated once, not zero-filled.
+  std::unique_ptr<char[]> read_buf_;
   bool close_done_ = false;
   bool epollout_armed_ = false;
   bool read_paused_ = false;

@@ -646,9 +646,12 @@ Secondary::DecodedRecord Secondary::DecodeRecord(
 }
 
 void Secondary::DecodeLoop() {
-  // Pipeline stage 1: all per-record CPU work — write-set construction and
-  // shard-footprint extraction — off the ordered path. Results re-sequence
-  // through the reorder buffer; this loop needs no ordering of its own.
+  // Pipeline stage 1: all per-record CPU work — write-set construction
+  // (which digests every write for the state chain) and shard-footprint
+  // extraction — off the ordered path, so the sequencer's
+  // BeginExternalCommitBatch folds one precomputed word per write. Results
+  // re-sequence through the reorder buffer; this loop needs no ordering of
+  // its own.
   while (auto job = decode_queue_.Pop()) {
     reorder_.Put(job->seq, DecodeRecord(job->record));
   }

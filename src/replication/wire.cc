@@ -11,75 +11,6 @@ constexpr std::uint8_t kTagAbort = 3;
 
 }  // namespace
 
-void PutVarint(std::string* out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-bool GetVarint(const std::string& data, std::size_t* offset,
-               std::uint64_t* out) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (*offset < data.size()) {
-    auto b = static_cast<unsigned char>(data[*offset]);
-    ++(*offset);
-    // The 10th byte can only contribute the top bit of a 64-bit value:
-    // reject continuations and payload bits that would be shifted out, so
-    // every value has exactly one accepted encoding of <= 10 bytes.
-    if (shift == 63 && (b & 0xfe) != 0) return false;
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) {
-      *out = v;
-      return true;
-    }
-    shift += 7;
-    if (shift > 63) return false;
-  }
-  return false;
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutVarint(out, s.size());
-  out->append(s);
-}
-
-namespace {
-
-/// The bytes of the string at *offset, advancing past them; false when the
-/// length is malformed or runs past the end of `data`.
-bool GetBytes(const std::string& data, std::size_t* offset,
-              std::string_view* out) {
-  std::uint64_t len = 0;
-  if (!GetVarint(data, offset, &len)) return false;
-  // Not `*offset + len > data.size()`: that sum wraps for attacker-chosen
-  // len near 2^64 and would pass the check.
-  if (len > data.size() - *offset) return false;
-  *out = std::string_view(data).substr(*offset, len);
-  *offset += len;
-  return true;
-}
-
-}  // namespace
-
-bool GetString(const std::string& data, std::size_t* offset,
-               std::string* out) {
-  std::string_view bytes;
-  if (!GetBytes(data, offset, &bytes)) return false;
-  out->assign(bytes);
-  return true;
-}
-
-bool GetString(const std::string& data, std::size_t* offset,
-               storage::Value* out) {
-  std::string_view bytes;
-  if (!GetBytes(data, offset, &bytes)) return false;
-  *out = storage::Value(bytes);
-  return true;
-}
-
 void EncodeRecord(const PropagationRecord& record, std::string* out) {
   if (const auto* s = std::get_if<PropStart>(&record)) {
     out->push_back(static_cast<char>(kTagStart));

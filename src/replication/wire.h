@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/result.h"
 #include "replication/messages.h"
 
@@ -19,29 +20,13 @@ namespace replication {
 /// messages are not lost or reordered", Section 3.2), i.e. one TCP stream
 /// per secondary carries EncodeRecord outputs back-to-back.
 
-/// Appends `v` to `out` as a base-128 varint (same scheme as the logical
-/// log). Exposed for the replication stream's frame headers.
-void PutVarint(std::string* out, std::uint64_t v);
-
-/// Decodes a varint at *offset, advancing it. Rejects encodings longer than
-/// 10 bytes and encodings whose high bits overflow 64 bits, so every value
-/// has exactly one accepted encoding.
-bool GetVarint(const std::string& data, std::size_t* offset,
-               std::uint64_t* out);
-
-/// Appends `s` as varint(length) + bytes. Exposed for the snapshot frames of
-/// the replication stream.
-void PutString(std::string* out, std::string_view s);
-
-/// Decodes a string written by PutString at *offset, advancing it. False on
-/// a malformed length or one that runs past the end of `data`.
-bool GetString(const std::string& data, std::size_t* offset,
-               std::string* out);
-
-/// GetString into a fresh shared value: the one copy of a decoded value's
-/// bytes that the receiving site keeps.
-bool GetString(const std::string& data, std::size_t* offset,
-               storage::Value* out);
+/// The varint and length-prefixed string codec (common/codec.h), exposed
+/// here for the replication stream's frame headers and snapshot frames and
+/// for the client protocol.
+using codec::GetString;
+using codec::GetVarint;
+using codec::PutString;
+using codec::PutVarint;
 
 /// Appends the encoding of `record` to `out`.
 void EncodeRecord(const PropagationRecord& record, std::string* out);

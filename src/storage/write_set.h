@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "storage/value.h"
 
 namespace lazysi {
@@ -15,8 +16,17 @@ struct Write {
   std::string key;
   Value value;  // empty when deleted
   bool deleted = false;
+  /// WriteDigest(key, value, deleted). WriteSet fills it in as the write is
+  /// buffered — on the request or decode thread — so the state chain folds
+  /// it under the commit-ordering lock without reading the value again.
+  /// Writes built elsewhere (log and wire records) leave it 0.
+  std::uint64_t digest = 0;
 
-  bool operator==(const Write& other) const = default;
+  /// Compares the write itself; the digest is derived from it.
+  bool operator==(const Write& other) const {
+    return key == other.key && value == other.value &&
+           deleted == other.deleted;
+  }
 };
 
 /// A transaction's buffered writes, in application order with last-write-wins
@@ -28,12 +38,14 @@ class WriteSet {
   /// Passing a std::string copies its bytes into a new Value; passing a
   /// Value shares its buffer.
   void Put(const std::string& key, Value value) {
-    writes_[key] = Write{key, std::move(value), /*deleted=*/false};
+    const std::uint64_t digest = WriteDigest(key, value, /*deleted=*/false);
+    writes_[key] = Write{key, std::move(value), /*deleted=*/false, digest};
   }
 
   /// Records a delete.
   void Delete(const std::string& key) {
-    writes_[key] = Write{key, Value(), /*deleted=*/true};
+    writes_[key] =
+        Write{key, Value(), /*deleted=*/true, WriteDigest(key, {}, true)};
   }
 
   /// Returns the buffered write for `key`, or nullptr.

@@ -62,6 +62,9 @@ engine::DatabaseOptions DbOptionsFor(const SiteServer::Options& options) {
   db.name = options.role == SiteServer::Role::kPrimary
                 ? "primary"
                 : "secondary-" + std::to_string(options.site_id);
+  // Nothing in a server reads the per-commit chain history, and it would
+  // grow by one entry per update commit for the life of the process.
+  db.record_state_chain = false;
   return db;
 }
 

@@ -62,27 +62,11 @@ inline constexpr std::size_t kMaxPipelinedWrites = 64;
 inline constexpr std::uint64_t kRolePrimary = 0;
 inline constexpr std::uint64_t kRoleSecondary = 1;
 
-inline void PutString(std::string* out, std::string_view s) {
-  replication::PutVarint(out, s.size());
-  out->append(s.data(), s.size());
-}
-
-inline bool GetString(const std::string& data, std::size_t* offset,
-                      std::string* out) {
-  std::uint64_t len = 0;
-  if (!replication::GetVarint(data, offset, &len)) return false;
-  if (data.size() - *offset < len) return false;
-  out->assign(data, *offset, static_cast<std::size_t>(len));
-  *offset += static_cast<std::size_t>(len);
-  return true;
-}
-
-/// A value is parsed straight out of the request frame into the shared
-/// buffer the write set, the log and the store will hold.
-inline bool GetString(const std::string& data, std::size_t* offset,
-                      storage::Value* out) {
-  return replication::GetString(data, offset, out);
-}
+/// str(...) fields: the shared codec (common/codec.h). GetString into a
+/// storage::Value parses a value straight out of the request frame into the
+/// shared buffer the write set, the log and the store will hold.
+using codec::GetString;
+using codec::PutString;
 
 inline void PutStatus(std::string* out, const Status& status) {
   replication::PutVarint(out, static_cast<std::uint64_t>(status.code()));

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <string>
+
 namespace lazysi {
 namespace {
 
@@ -70,6 +74,56 @@ TEST(StateChainTest, TransactionBoundaryMatters) {
   b.FoldWrite("y", "2", false);
   b.SealTransaction();
   EXPECT_NE(a.value(), b.value());
+}
+
+TEST(StateChainTest, KeyValueBoundaryMatters) {
+  // Same bytes, split differently between key and value.
+  StateChain a, b;
+  a.FoldWrite("ab", "c", false);
+  a.SealTransaction();
+  b.FoldWrite("a", "bc", false);
+  b.SealTransaction();
+  EXPECT_NE(a.value(), b.value());
+}
+
+TEST(Digest64Test, EverySingleBitFlipOfAKibValueChangesTheDigest) {
+  std::string value(1024, '\0');
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    value[i] = static_cast<char>(i * 131 + 7);
+  }
+  const std::uint64_t base = Digest64(value);
+  const std::uint64_t base_write = WriteDigest("k", value, false);
+  for (std::size_t byte = 0; byte < value.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      value[byte] = static_cast<char>(value[byte] ^ (1 << bit));
+      ASSERT_NE(Digest64(value), base) << "byte " << byte << " bit " << bit;
+      ASSERT_NE(WriteDigest("k", value, false), base_write)
+          << "byte " << byte << " bit " << bit;
+      value[byte] = static_cast<char>(value[byte] ^ (1 << bit));
+    }
+  }
+  EXPECT_EQ(Digest64(value), base);
+}
+
+TEST(Digest64Test, LengthsZeroToFortyCoverEveryTailPath) {
+  // 0, 1-3, 4-7, 8-31 (words only) and 32+ (stripes, then words and a
+  // tail) each take a different path. Every input sits in an exact-size
+  // heap buffer so a sanitizer build catches any read past its end.
+  std::set<std::uint64_t> zeros;
+  for (std::size_t len = 0; len <= 40; ++len) {
+    auto buf = std::make_unique<char[]>(len + 1);
+    const std::string_view data(buf.get() + 1, len);  // unaligned start
+    // All-zero inputs of different lengths differ: the length is mixed in.
+    EXPECT_TRUE(zeros.insert(Digest64(data)).second) << "len " << len;
+    // Every byte position reaches the digest.
+    std::set<std::uint64_t> flips = {Digest64(data)};
+    for (std::size_t i = 0; i < len; ++i) {
+      buf[1 + i] = 'x';
+      EXPECT_TRUE(flips.insert(Digest64(data)).second)
+          << "len " << len << " byte " << i;
+      buf[1 + i] = '\0';
+    }
+  }
 }
 
 }  // namespace

@@ -103,7 +103,9 @@ TEST(PartitionSystemTest, CrossPartitionGetAndScan) {
                         auto v = t.Get(entry.first);
                         EXPECT_TRUE(v.ok()) << entry.first << ": "
                                             << v.status().ToString();
-                        if (v.ok()) EXPECT_EQ(*v, entry.second);
+                        if (v.ok()) {
+                          EXPECT_EQ(*v, entry.second);
+                        }
                       }
                       return Status::OK();
                     })
@@ -214,7 +216,9 @@ TEST(PartitionSystemTest, SingleKillLeavesEveryPartitionServable) {
                         EXPECT_TRUE(v.ok())
                             << "home " << s << " key " << entry.first << ": "
                             << v.status().ToString();
-                        if (v.ok()) EXPECT_EQ(*v, entry.second);
+                        if (v.ok()) {
+                          EXPECT_EQ(*v, entry.second);
+                        }
                       }
                       return Status::OK();
                     })

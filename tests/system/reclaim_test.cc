@@ -2,8 +2,8 @@
 // a secondary keeps no logical log and a bounded translation table, an
 // in-memory primary keeps its log only back to what its secondaries need,
 // every site prunes the versions no open snapshot can see, an open reader
-// pins what it still needs, and a durable primary's log stays the
-// checkpointer's alone to truncate.
+// pins what it still needs, a durable primary's log stays the
+// checkpointer's alone to truncate, and no site keeps a state-chain history.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -228,6 +228,32 @@ TEST(ReclaimTest, SecondaryTranslationsStayBoundedAndReadersKeepTheirPrefix) {
   ASSERT_TRUE(begin.ok()) << begin.status();
   EXPECT_EQ(*begin, session.seq());
   EXPECT_TRUE(probe.Commit().ok());
+}
+
+TEST(ReclaimTest, ServersKeepNoStateChainHistory) {
+  SiteServer primary(PrimaryOptions());
+  ASSERT_TRUE(primary.Start().ok());
+  SiteServer secondary(SecondaryOptions(primary.repl_port()));
+  ASSERT_TRUE(secondary.Start().ok());
+
+  RemoteSite writer;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", primary.client_port()).ok());
+  RemoteSite replica;
+  ASSERT_TRUE(replica.Connect("127.0.0.1", secondary.client_port()).ok());
+  RemoteSession session;
+
+  // Forty rounds of eight update commits each.
+  for (int round = 0; round < 40; ++round) {
+    const Timestamp seq = OverwriteRound(&writer, &session, round);
+    if (round % 10 == 9) {
+      ASSERT_TRUE(replica.WaitSeq(seq).ok());
+    }
+  }
+  EXPECT_TRUE(primary.db()->StateChainHistory().empty());
+  EXPECT_TRUE(secondary.db()->StateChainHistory().empty());
+  // The running chain still advances, identically at both sites.
+  EXPECT_NE(primary.db()->StateHash(), 0u);
+  EXPECT_EQ(secondary.db()->StateHash(), primary.db()->StateHash());
 }
 
 TEST(ReclaimTest, DurablePrimaryLogIsTruncatedOnlyByItsCheckpointer) {
