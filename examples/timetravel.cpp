@@ -4,20 +4,26 @@
 //
 //   - read any historical snapshot through version chains;
 //   - prune old versions under a retention horizon;
-//   - checkpoint + log-replay restart of a site (engine/recovery.h).
+//   - checkpoint + log-replay restart of a site from its data directory
+//     (engine/checkpointer.h).
 //
 //   $ ./build/examples/timetravel
 
 #include <cstdio>
+#include <filesystem>
 
+#include "engine/checkpointer.h"
 #include "engine/database.h"
-#include "engine/recovery.h"
-#include "wal/log_file.h"
 
 using namespace lazysi;
 
 int main() {
+  // A durable site: every commit is logged under `dir` before it is acked.
+  const std::string dir = "/tmp/lazysi_demo_data";
+  std::filesystem::remove_all(dir);
   engine::Database db;
+  auto opened = engine::OpenDataDir(&db, dir, wal::DurableLog::Options());
+  if (!opened.ok()) return 1;
 
   // Build some history: a document edited over time.
   std::vector<Timestamp> edits;
@@ -50,30 +56,25 @@ int main() {
               static_cast<unsigned long long>(edits[2]),
               (*kept_read)->Get("doc/readme").ValueOr("?").ToString().c_str());
 
-  // Durable restart: checkpoint now, keep editing, persist the log suffix,
-  // then rebuild an identical database from the two files.
-  const std::string dir = "/tmp/";
-  const auto checkpoint = db.TakeCheckpoint();
-  if (!engine::SaveCheckpoint(checkpoint, dir + "lazysi_demo.ckpt").ok()) {
-    return 1;
-  }
+  // Durable restart: checkpoint now, keep editing (the edits live only in
+  // the log), then "crash" and rebuild a database from the data directory.
+  engine::Checkpointer::Options copts;
+  copts.data_dir = dir;
+  engine::Checkpointer checkpointer(&db, opened->durable.get(), copts);
+  if (!checkpointer.CheckpointNow().ok()) return 1;
   (void)db.Put("doc/readme", "published, rev 2");
   (void)db.Put("doc/changelog", "added rev 2");
-  if (!wal::LogFile::Write(*db.log(), dir + "lazysi_demo.log",
-                           checkpoint.lsn).ok()) {
-    return 1;
-  }
+  opened->durable->Close();
 
   engine::Database restored;
-  auto loaded = engine::LoadCheckpoint(dir + "lazysi_demo.ckpt");
-  if (!loaded.ok() || !restored.InstallCheckpoint(*loaded).ok()) return 1;
-  auto records = wal::LogFile::Read(dir + "lazysi_demo.log");
-  if (!records.ok()) return 1;
-  auto applied = engine::ReplayLog(&restored, *records);
-  if (!applied.ok()) return 1;
+  auto state = engine::OpenDataDir(&restored, dir, wal::DurableLog::Options());
+  if (!state.ok()) return 1;
+  state->durable->Close();
 
-  std::printf("\nrestart: checkpoint (%zu keys) + %zu replayed txns\n",
-              loaded->state.size(), *applied);
+  std::printf("\nrestart: checkpoint at lsn %llu + %zu replayed txns\n",
+              static_cast<unsigned long long>(
+                  checkpointer.last_checkpoint_lsn()),
+              state->report.commits_applied);
   const bool identical =
       restored.store()->Materialize(restored.LatestCommitTs()) ==
       db.store()->Materialize(db.LatestCommitTs());
@@ -81,7 +82,6 @@ int main() {
               identical ? "yes" : "NO (BUG!)");
   std::printf("  doc/readme = \"%s\"\n",
               restored.Get("doc/readme").ValueOr("?").ToString().c_str());
-  std::remove((dir + "lazysi_demo.ckpt").c_str());
-  std::remove((dir + "lazysi_demo.log").c_str());
+  std::filesystem::remove_all(dir);
   return identical ? 0 : 1;
 }

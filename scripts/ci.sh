@@ -36,7 +36,11 @@ for stage in $STAGES; do
   echo "==== ci: $stage ===="
   case "$stage" in
     tier1)
-      run_preset default
+      # Warnings fail the tier-1 build (CMAKE_COMPILE_WARNING_AS_ERROR,
+      # CMake >= 3.24): a fresh RelWithDebInfo tree builds warning-free.
+      cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+      cmake --build --preset default -j "$JOBS"
+      ctest --preset default -j "$JOBS"
       ;;
     proc)
       # Multi-process deployment smoke: build the site-server binary, then

@@ -152,22 +152,22 @@ Result<DataDirState> OpenDataDir(Database* db, const std::string& data_dir,
   state.base_record_seq = recovered.base_record_seq;
   state.tail_truncated = recovered.tail_truncated;
 
-  Database::Checkpoint cp;
-  bool have_checkpoint = false;
+  // The checkpoint is checked end to end before anything is installed, so
+  // a damaged one leaves `db` untouched.
+  std::unique_ptr<CheckpointReader> checkpoint;
   auto manifest = LoadManifest(data_dir);
   if (manifest.ok() && !manifest->checkpoint_file.empty()) {
-    auto loaded =
-        LoadCheckpoint(data_dir + "/" + manifest->checkpoint_file);
-    if (!loaded.ok()) return loaded.status();
-    cp = std::move(loaded).value();
-    have_checkpoint = true;
+    auto opened =
+        CheckpointReader::Open(data_dir + "/" + manifest->checkpoint_file);
+    if (!opened.ok()) return opened.status();
+    checkpoint = std::move(opened).value();
   } else if (!manifest.ok() && !manifest.status().IsNotFound()) {
     return manifest.status();
   }
 
-  state.had_state = have_checkpoint || !recovered.records.empty();
-  auto report = db->RestoreFromDurable(have_checkpoint ? &cp : nullptr,
-                                       recovered.records, recovered.base_lsn,
+  state.had_state = checkpoint != nullptr || !recovered.records.empty();
+  auto report = db->RestoreFromDurable(checkpoint.get(), recovered.records,
+                                       recovered.base_lsn,
                                        state.durable.get());
   if (!report.ok()) return report.status();
   state.report = std::move(report).value();

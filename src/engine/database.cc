@@ -3,6 +3,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "engine/recovery.h"
 
 namespace lazysi {
 namespace engine {
@@ -47,21 +48,6 @@ std::vector<StateChainEntry> Database::StateChainHistory() const {
   return chain_history_;
 }
 
-Database::Checkpoint Database::TakeCheckpoint() {
-  const CheckpointPin pin = PinCheckpoint();
-  Checkpoint cp;
-  cp.as_of = pin.as_of;
-  cp.lsn = pin.lsn;
-  for (std::size_t shard = 0; shard < store_.shard_count(); ++shard) {
-    store_.ForEachVisibleInShard(
-        shard, pin.as_of,
-        [&cp](const std::string& key, const storage::Value& value) {
-          cp.state.emplace(key, value);
-        });
-  }
-  return cp;
-}
-
 Database::CheckpointPin Database::PinCheckpoint() {
   CheckpointPin pin;
   // The pipelined commit emits the log record before installing versions, so
@@ -84,15 +70,6 @@ Database::CheckpointPin Database::PinCheckpoint() {
     pin.txn.reset();
     std::this_thread::yield();
   }
-}
-
-Result<Timestamp> Database::InstallCheckpoint(const Checkpoint& checkpoint) {
-  auto t = Begin();
-  for (const auto& [key, value] : checkpoint.state) {
-    LAZYSI_RETURN_NOT_OK(t->Put(key, value));
-  }
-  LAZYSI_RETURN_NOT_OK(t->Commit());
-  return t->commit_ts();
 }
 
 void Database::Close() { log_.Close(); }
@@ -131,7 +108,7 @@ Status Database::DurabilityGate(Timestamp commit_ts) {
 }
 
 std::uint64_t Database::ContentHash() {
-  // Pinned like TakeCheckpoint, so a concurrent GarbageCollect cannot drop
+  // Pinned like a checkpoint, so a concurrent GarbageCollect cannot drop
   // a version of the snapshot being hashed. Rows are hashed in place, shard
   // by shard, and summed: the sum does not depend on the order rows are
   // visited in, so sites with different shard layouts still agree. Each row
@@ -149,7 +126,7 @@ std::uint64_t Database::ContentHash() {
 }
 
 Result<Database::RestoreReport> Database::RestoreFromDurable(
-    const Checkpoint* checkpoint, const std::vector<wal::LogRecord>& suffix,
+    CheckpointReader* checkpoint, const std::vector<wal::LogRecord>& suffix,
     std::size_t suffix_base_lsn, wal::DurableLog* durable) {
   if (log_.Size() != 0 || LatestCommitTs() != kInvalidTimestamp) {
     return Status::FailedPrecondition(
@@ -158,21 +135,28 @@ Result<Database::RestoreReport> Database::RestoreFromDurable(
   RestoreReport report;
   Timestamp as_of = kInvalidTimestamp;
   if (checkpoint != nullptr) {
-    if (checkpoint->lsn < suffix_base_lsn) {
+    if (checkpoint->lsn() < suffix_base_lsn) {
       return Status::InvalidArgument(
           "checkpoint LSN below the retained log suffix");
     }
-    as_of = checkpoint->as_of;
-    // Install the checkpoint state directly at its original timestamp —
-    // InstallCheckpoint would allocate a fresh one, and recovery must not
-    // renumber primary-visible timestamps.
-    if (!checkpoint->state.empty()) {
-      storage::WriteSet base;
-      for (const auto& [key, value] : checkpoint->state) {
-        base.Put(key, value);
-      }
-      store_.Apply(base, as_of);
-    }
+    as_of = checkpoint->as_of();
+    // Install the checkpoint state directly at its original timestamp, one
+    // chunk per store pass: recovery must not renumber primary-visible
+    // timestamps, and the state is never held whole beside the store.
+    LAZYSI_RETURN_NOT_OK(
+        checkpoint->ForEachChunk([this, as_of](std::string_view chunk) {
+          storage::WriteSet rows;
+          std::size_t offset = 0;
+          if (!DecodeSnapshotChunk(
+                  chunk, &offset,
+                  [&rows](std::string_view key, std::string_view value) {
+                    rows.Put(std::string(key), storage::Value(value));
+                  })) {
+            return Status::InvalidArgument("malformed checkpoint chunk");
+          }
+          store_.Apply(rows, as_of);
+          return Status::OK();
+        }));
   }
   log_.ResetBase(suffix_base_lsn);
 
@@ -205,7 +189,7 @@ Result<Database::RestoreReport> Database::RestoreFromDurable(
         auto it = updates.find(rec.txn_id);
         if (rec.timestamp > as_of || as_of == kInvalidTimestamp) {
           // Not covered by the checkpoint: apply at the logged timestamp.
-          // (TakeCheckpoint's consistent (state, LSN) pair guarantees
+          // (PinCheckpoint's consistent (as_of, LSN) pair guarantees
           // commit records below the checkpoint LSN have ts <= as_of.)
           if (it != updates.end() && !it->second.empty()) {
             store_.Apply(it->second, rec.timestamp);

@@ -22,6 +22,8 @@
 namespace lazysi {
 namespace engine {
 
+class CheckpointReader;
+
 struct DatabaseOptions {
   /// Site identifier, for diagnostics (0 = primary by convention).
   SiteId site_id = kPrimarySiteId;
@@ -106,32 +108,21 @@ class Database : private txn::TxnObserver {
   std::uint64_t StateHash() const;
   std::vector<StateChainEntry> StateChainHistory() const;
 
-  /// Point-in-time checkpoint for secondary recovery (Section 3.4). Call
-  /// only when the site is quiesced (no in-flight update transactions);
-  /// `lsn` is the log position from which a recovering secondary must replay.
-  struct Checkpoint {
-    /// Shares the store's (or the decoded file's) value buffers.
-    std::map<std::string, storage::Value> state;
-    Timestamp as_of = kInvalidTimestamp;
-    std::size_t lsn = 0;
-  };
-  Checkpoint TakeCheckpoint();
-
-  /// TakeCheckpoint's (as_of, lsn) pair without the state: `txn` is a
-  /// read-only transaction at `as_of` that keeps GarbageCollect from pruning
-  /// a version of that snapshot for as long as the pin is held. The state is
-  /// then read shard by shard (VersionedStore::ForEachVisibleInShard at
-  /// `as_of`), so it is never copied whole.
+  /// A consistent (as_of, lsn) pair for copying this site's state (Section
+  /// 3.4): every commit at or below `as_of` has its log record below `lsn`,
+  /// and every commit record below `lsn` is at or below `as_of`, so a copy of
+  /// the state at `as_of` plus the log from `lsn` on covers the whole
+  /// history. `txn` is a read-only transaction at `as_of` that keeps
+  /// GarbageCollect from pruning a version of that snapshot for as long as
+  /// the pin is held. The state is then read shard by shard
+  /// (EncodeSnapshotChunks in engine/recovery.h), so it is never copied
+  /// whole. Non-quiescent: commits keep flowing.
   struct CheckpointPin {
     Timestamp as_of = kInvalidTimestamp;
     std::size_t lsn = 0;
     std::unique_ptr<txn::Transaction> txn;
   };
   CheckpointPin PinCheckpoint();
-
-  /// Installs a checkpoint into this (empty) database as one bulk
-  /// transaction. Returns the local commit timestamp of the install.
-  Result<Timestamp> InstallCheckpoint(const Checkpoint& checkpoint);
 
   /// Attaches a durable on-disk mirror of the logical log: every record the
   /// observers append is also queued on `durable` under the same LSN, and
@@ -151,19 +142,19 @@ class Database : private txn::TxnObserver {
   };
 
   /// Primary restart (Section 3.4): rebuilds this *fresh* database from a
-  /// checkpoint (may be null) plus the durable log suffix starting at
-  /// absolute LSN `suffix_base_lsn`. Original commit timestamps are
-  /// preserved — sessions hold seq(c) = primary commit timestamps and
-  /// secondaries dedupe by record seq, so recovery must not renumber
-  /// anything. Commits with timestamp <= checkpoint->as_of are already in
-  /// the checkpoint state and are skipped (TakeCheckpoint guarantees the
-  /// (state, LSN) pair is consistent); later commits are applied at their
-  /// logged timestamps. Transactions left unresolved by the crash get
+  /// checkpoint (may be null), installed chunk by chunk at its as_of, plus
+  /// the durable log suffix starting at absolute LSN `suffix_base_lsn`.
+  /// Original commit timestamps are preserved — sessions hold seq(c) =
+  /// primary commit timestamps and secondaries dedupe by record seq, so
+  /// recovery must not renumber anything. Commits with timestamp <=
+  /// checkpoint->as_of() are already in the checkpoint state and are skipped
+  /// (PinCheckpoint's (as_of, lsn) pair is consistent); later commits are
+  /// applied at their logged timestamps. Transactions left unresolved by the crash get
   /// synthetic abort records, appended both here and to `durable` (if
   /// given) so propagation update lists quiesce. Seeds the transaction
   /// manager's clock/watermark/txn-id counters past everything restored.
   Result<RestoreReport> RestoreFromDurable(
-      const Checkpoint* checkpoint, const std::vector<wal::LogRecord>& suffix,
+      CheckpointReader* checkpoint, const std::vector<wal::LogRecord>& suffix,
       std::size_t suffix_base_lsn, wal::DurableLog* durable);
 
   /// Order-independent fingerprint of the materialized state at the

@@ -2,6 +2,7 @@
 #define LAZYSI_REPLICATION_PARTITION_MAP_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,6 +107,14 @@ struct SinkFilter {
 
   bool CoversKey(const std::string& key) const {
     return map->CoversKey(secondary_index, key);
+  }
+
+  /// CoversKey as a key predicate; empty when the filter passes every key.
+  std::function<bool(const std::string&)> KeyPredicate() const {
+    if (!active()) return nullptr;
+    return [filter = *this](const std::string& key) {
+      return filter.CoversKey(key);
+    };
   }
 };
 

@@ -77,7 +77,7 @@ class Propagator {
   /// Adds a sink that first receives a replay of log records from `from_lsn`
   /// up to the current position, then joins the live broadcast. `from_lsn`
   /// must be a quiesced point (no transaction in flight across it), e.g. the
-  /// LSN of a Database::TakeCheckpoint or a SyncPoint — otherwise
+  /// LSN of a Database::PinCheckpoint or a SyncPoint — otherwise
   /// FailedPrecondition. Returns the global sequence number of the first
   /// replayed record. Used for secondary recovery (Section 3.4) and for
   /// transport-level resync after a disconnect. The replay is filtered the

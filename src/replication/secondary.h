@@ -138,19 +138,14 @@ class Secondary {
                   std::chrono::milliseconds timeout =
                       std::chrono::milliseconds(10000)) const;
 
-  /// Re-seeds seq(DBsec) after recovery: the checkpoint install corresponds
-  /// to the primary state `seq` (Section 4 does this with a dummy primary
-  /// transaction after failure).
-  void InitializeSeq(Timestamp seq, Timestamp local_install_ts);
-
-  /// Snapshot rejoin (a fresh secondary whose primary no longer holds the
-  /// log back to LSN 0): the rows of the primary's state at some as_of are
-  /// staged in one local update transaction as they arrive, and
-  /// CommitSnapshot commits it and re-seeds seq(DBsec) at as_of — the
-  /// InstallCheckpoint + InitializeSeq pair of recovery. One commit, so no
-  /// reader sees part of the snapshot. Call from one thread, on a site
-  /// that holds no replicated state, before any record reaches the update
-  /// queue.
+  /// State copy (Section 3.4): every way a secondary starts from a copy of
+  /// the primary — a snapshot rejoin over the stream, a crashed secondary's
+  /// recovery, a fleet bootstrapped from a restored primary. The rows of the
+  /// primary's state at some as_of are staged in one local update
+  /// transaction as they arrive, and CommitSnapshot commits it and re-seeds
+  /// seq(DBsec) at as_of. One commit, so no reader sees part
+  /// of the snapshot. Call from one thread, on a site that holds no
+  /// replicated state, before any record reaches the update queue.
   void StageSnapshotRow(const std::string& key, storage::Value value);
   Status CommitSnapshot(Timestamp as_of);
   /// Drops the staged rows (the stream was cut mid-snapshot).
@@ -307,6 +302,11 @@ class Secondary {
   }
 
  private:
+  /// Re-seeds seq(DBsec) after a state copy: the local commit
+  /// `local_install_ts` installed the primary state `seq` (Section 4 does
+  /// this with a dummy primary transaction after failure).
+  void InitializeSeq(Timestamp seq, Timestamp local_install_ts);
+
   /// Upper bound on records the refresher drains from the update queue per
   /// lock round-trip; bounds the latency of a Stop() racing a large burst.
   static constexpr std::size_t kRefresherBatchSize = 256;

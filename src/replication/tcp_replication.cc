@@ -10,6 +10,7 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "engine/database.h"
+#include "engine/recovery.h"
 #include "replication/primary.h"
 #include "replication/secondary.h"
 #include "replication/wire.h"
@@ -58,48 +59,15 @@ bool DecodeBatchFramePayload(const std::string& frame, std::size_t* offset,
   return *offset == frame.size();
 }
 
-namespace {
-
-std::string SnapshotFrameHeader(Timestamp as_of, std::uint64_t count) {
-  std::string payload(1, kReplSnapshotTag);
-  PutVarint(&payload, as_of);
-  PutVarint(&payload, count);
-  return payload;
-}
-
-}  // namespace
-
-std::string EncodeSnapshotFramePayload(Timestamp as_of,
-                                       const std::vector<SnapshotRow>& rows) {
-  std::string payload = SnapshotFrameHeader(as_of, rows.size());
-  for (const auto& [key, value] : rows) {
-    PutString(&payload, key);
-    PutString(&payload, value);
-  }
-  return payload;
-}
-
-bool DecodeSnapshotFramePayload(const std::string& frame, std::size_t* offset,
+bool DecodeSnapshotFramePayload(std::string_view frame, std::size_t* offset,
                                 Timestamp* as_of,
-                                std::vector<SnapshotRow>* rows) {
+                                const engine::SnapshotRowFn& row) {
   if (*offset >= frame.size() || frame[*offset] != kReplSnapshotTag) {
     return false;
   }
   ++*offset;
-  std::uint64_t count = 0;
-  if (!GetVarint(frame, offset, as_of) || !GetVarint(frame, offset, &count)) {
-    return false;
-  }
-  // Like a BATCH count, the claim is unverified: no reserve(count).
-  for (std::uint64_t i = 0; i < count; ++i) {
-    SnapshotRow row;
-    if (!GetString(frame, offset, &row.first) ||
-        !GetString(frame, offset, &row.second)) {
-      return false;
-    }
-    rows->push_back(std::move(row));
-  }
-  return *offset == frame.size();
+  return GetVarint(frame, offset, as_of) &&
+         engine::DecodeSnapshotChunk(frame, offset, row);
 }
 
 // ---------------------------------------------------------------------------
@@ -332,7 +300,10 @@ void ReplicationListener::HandleFrame(const std::shared_ptr<Conn>& conn,
   std::size_t off = 1;
   std::uint64_t acked = 0;
   if (GetVarint(frame, &off, &acked)) {
-    conn->acked.store(acked, std::memory_order_relaxed);
+    // The receiver has delivered `acked` and resumes at the next seq, the
+    // position its HELLO would name: hold the floor at the sync point a
+    // resync from there replays from, as the attach base does.
+    conn->acked.store(acked + 1, std::memory_order_relaxed);
   }
 }
 
@@ -417,44 +388,26 @@ Result<std::uint64_t> ReplicationListener::StreamSnapshot(
   // from the point on cover the whole history. The commits in both are the
   // ones at or below as_of; the receiver turns those into aborts.
   const engine::Database::CheckpointPin pin = db_->PinCheckpoint();
-  storage::VersionedStore* store = db_->store();
-  std::uint64_t rows = 0;
-  std::vector<std::string> frames;
-  for (std::size_t shard = 0; shard < store->shard_count(); ++shard) {
-    // Encode under the shard's reader lock; write after releasing it.
-    std::string body;
-    std::uint64_t n = 0;
-    auto seal = [&] {
-      frames.push_back(SnapshotFrameHeader(pin.as_of, n) + body);
-      rows += n;
-      body.clear();
-      n = 0;
-    };
-    store->ForEachVisibleInShard(
-        shard, pin.as_of,
-        [&](const std::string& key, const storage::Value& value) {
-          if (options_.filter.active() && !options_.filter.CoversKey(key)) {
-            return;
-          }
-          PutString(&body, key);
-          PutString(&body, value);
-          ++n;
-          if (body.size() >= options_.max_batch_bytes) seal();
-        });
-    if (n > 0) seal();
-    for (std::string& frame : frames) {
-      const std::size_t bytes = frame.size();
-      if (!WaitForRoom(conn.get()) ||
-          !WriteFrame(conn.get(), std::move(frame))) {
-        propagator_->DetachSink(&conn->sink);
-        return Status::Aborted("connection closed during the snapshot");
-      }
-      snapshot_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    }
-    frames.clear();
+  auto rows = engine::EncodeSnapshotChunks(
+      db_, pin, options_.max_batch_bytes, options_.filter.KeyPredicate(),
+      [&](std::string chunk) {
+        std::string frame(1, kReplSnapshotTag);
+        PutVarint(&frame, pin.as_of);
+        frame += chunk;
+        const std::size_t bytes = frame.size();
+        if (!WaitForRoom(conn.get()) ||
+            !WriteFrame(conn.get(), std::move(frame))) {
+          return Status::Aborted("connection closed during the snapshot");
+        }
+        snapshot_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+        return Status::OK();
+      });
+  if (!rows.ok()) {
+    propagator_->DetachSink(&conn->sink);
+    return rows.status();
   }
   PutVarint(welcome, pin.as_of);
-  PutVarint(welcome, rows);
+  PutVarint(welcome, *rows);
   snapshot_attaches_.fetch_add(1, std::memory_order_relaxed);
   return point->record_seq;
 }
@@ -889,18 +842,23 @@ bool ReplicationReceiver::HandleSnapshotFrame(const std::string& frame) {
   }
   // Only a receiver that holds nothing asks for one.
   if (next_expected_.load(std::memory_order_acquire) != 0) return false;
+  // The frame's CRC held, so its rows are staged as they decode. A
+  // malformed frame, or one of another snapshot, cuts the connection, which
+  // abandons the snapshot.
+  const bool first = snapshot_rows_ == 0;
   std::size_t off = 0;
   Timestamp as_of = kInvalidTimestamp;
-  std::vector<SnapshotRow> rows;
-  if (!DecodeSnapshotFramePayload(frame, &off, &as_of, &rows) ||
-      (snapshot_rows_ > 0 && as_of != snapshot_as_of_)) {
+  if (!DecodeSnapshotFramePayload(
+          frame, &off, &as_of,
+          [this](std::string_view key, std::string_view value) {
+            ++snapshot_rows_;
+            secondary_->StageSnapshotRow(std::string(key),
+                                         storage::Value(value));
+          }) ||
+      (!first && as_of != snapshot_as_of_)) {
     return false;
   }
   snapshot_as_of_ = as_of;
-  snapshot_rows_ += rows.size();
-  for (auto& [key, value] : rows) {
-    secondary_->StageSnapshotRow(key, std::move(value));
-  }
   return true;
 }
 

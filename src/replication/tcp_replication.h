@@ -19,6 +19,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/timestamp.h"
+#include "engine/recovery.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/framed_socket.h"
@@ -28,9 +29,6 @@
 #include "replication/propagator.h"
 
 namespace lazysi {
-namespace engine {
-class Database;
-}  // namespace engine
 namespace replication {
 
 class Primary;
@@ -58,7 +56,7 @@ class Secondary;
 ///     listener attaches the sink at the latest sync point (seq B), pins a
 ///     snapshot of the primary at as_of (Database::PinCheckpoint), and
 ///     streams it one store shard at a time:
-///       primary -> SNAPSHOT { as_of, n, (key, value)* }*
+///       primary -> SNAPSHOT { as_of, chunk }*
 ///       primary -> WELCOME { B, as_of, rows }
 ///     The secondary installs the rows as one local transaction, seeds
 ///     seq(DBsec) at as_of (Section 4), and turns every streamed commit at
@@ -85,11 +83,8 @@ constexpr char kReplHelloTag = 'H';    // secondary -> primary
 constexpr char kReplWelcomeTag = 'W';  // primary -> secondary
 constexpr char kReplBatchTag = 'B';    // varint count + that many records
 constexpr char kReplAckTag = 'A';      // seq of the last delivered record
-constexpr char kReplSnapshotTag = 'S';  // as_of + count + (key, value)*
+constexpr char kReplSnapshotTag = 'S';  // as_of + one snapshot chunk
 constexpr char kReplRefuseTag = 'R';    // why the primary cannot resync
-
-/// One row of a snapshot: a key and its value at the snapshot.
-using SnapshotRow = std::pair<std::string, storage::Value>;
 
 /// Appends the CRC-32C trailer to a replication-stream frame payload. The
 /// sealed frame is what crosses the wire inside the TCP length prefix.
@@ -115,18 +110,13 @@ std::string EncodeBatchFramePayload(
 bool DecodeBatchFramePayload(const std::string& frame, std::size_t* offset,
                              std::vector<PropagationRecord>* out);
 
-/// Builds one SNAPSHOT frame payload: tag + varint(as_of) + varint(count) +
-/// count (key, value) strings. The listener encodes the same bytes a shard
-/// at a time; exposed for the framing fuzz corpus.
-std::string EncodeSnapshotFramePayload(Timestamp as_of,
-                                       const std::vector<SnapshotRow>& rows);
-
-/// Decodes a SNAPSHOT frame payload (*offset at the tag byte), appending its
-/// rows to *rows. False on a malformed header or row, or trailing bytes after
-/// the declared count: the stream is damaged and the connection must drop.
-bool DecodeSnapshotFramePayload(const std::string& frame, std::size_t* offset,
+/// Decodes a SNAPSHOT frame payload (*offset at the tag byte): tag +
+/// varint(as_of) + one snapshot chunk (engine/recovery.h), handing each row
+/// to `row` as it decodes. False on a malformed header or chunk, or trailing
+/// bytes: the stream is damaged and the connection must drop.
+bool DecodeSnapshotFramePayload(std::string_view frame, std::size_t* offset,
                                 Timestamp* as_of,
-                                std::vector<SnapshotRow>* rows);
+                                const engine::SnapshotRowFn& row);
 
 /// Primary-side listener: accepts one connection per secondary. Every
 /// connection shares the listener's event loop; per connection there is a
@@ -197,10 +187,10 @@ class ReplicationListener {
 
   /// Lowest LSN any secondary may still need for a resync: the minimum over
   /// live connections, and over connections closed less than kResumeGrace
-  /// ago, of the quiesced point at or below that connection's cumulative
-  /// acked record seq. A log truncation floor must not exceed this, or a
-  /// reconnecting secondary's replay would hit truncated log. UINT64_MAX
-  /// when no connection holds the log back.
+  /// ago, of the quiesced point at or below the seq that connection resumes
+  /// at (one past its cumulative ACK). A log truncation floor must not
+  /// exceed this, or a reconnecting secondary's replay would hit truncated
+  /// log. UINT64_MAX when no connection holds the log back.
   std::uint64_t MinAckFloor() const;
 
   /// How long a closed connection's ack floor still holds the log back: at
@@ -213,6 +203,8 @@ class ReplicationListener {
     std::shared_ptr<net::Connection> nc;
     net::TcpFramer framer;  // loop thread only
     BlockingQueue<PropagationRecord> sink;
+    /// The seq the secondary resumes at: the attach base, then one past
+    /// its cumulative ACK.
     std::atomic<std::uint64_t> acked{0};
     std::atomic<bool> attached{false};
     std::atomic<bool> done{false};  // closed; ignore in MinAckFloor

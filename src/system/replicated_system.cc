@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "engine/recovery.h"
 
 namespace lazysi {
 namespace system {
@@ -402,6 +403,40 @@ replication::PropagatorOptions PropagatorOptionsFor(const SystemConfig& config,
   return opts;
 }
 
+/// Rows per chunk of an in-process state copy, by encoded size.
+constexpr std::size_t kCopyChunkBytes = 1 << 16;
+
+/// Copies the primary's state at `pin` into `replica` as one local
+/// transaction and re-seeds its seq(DBsec) at pin.as_of (Section 4's dummy
+/// transaction): the install a deployment secondary runs for a snapshot
+/// rejoin, through the same chunk codec. A partial replica receives its
+/// covered partitions only — uncovered keys never live there (scans and
+/// differential checks rely on that), and its log replay is filtered the
+/// same way.
+Status CopyState(engine::Database* primary_db,
+                 const engine::Database::CheckpointPin& pin,
+                 const replication::SinkFilter& filter,
+                 replication::Secondary* replica) {
+  auto copied = engine::EncodeSnapshotChunks(
+      primary_db, pin, kCopyChunkBytes, filter.KeyPredicate(),
+      [replica](std::string chunk) {
+        std::size_t offset = 0;
+        return engine::DecodeSnapshotChunk(
+                   chunk, &offset,
+                   [replica](std::string_view key, std::string_view value) {
+                     replica->StageSnapshotRow(std::string(key),
+                                               storage::Value(value));
+                   })
+                   ? Status::OK()
+                   : Status::Internal("undecodable snapshot chunk");
+      });
+  if (!copied.ok()) {
+    replica->AbandonSnapshot();
+    return copied.status();
+  }
+  return replica->CommitSnapshot(pin.as_of);
+}
+
 }  // namespace
 
 ReplicatedSystem::ReplicatedSystem(SystemConfig config)
@@ -418,7 +453,11 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
   // Durable primary: restore from the data directory's checkpoint + log
   // suffix before anything attaches to the propagator, then gate commit
   // acks on the flushed-LSN watermark (AttachDurableLog inside OpenDataDir).
-  engine::Database::Checkpoint boot_cp;
+  // A restored primary starts ahead of the empty fleet: each secondary is
+  // copied from this pin of the restored state, exactly like
+  // RecoverSecondary after a crash (Section 3.4). Held until the fleet is
+  // attached at its LSN.
+  engine::Database::CheckpointPin boot_pin;
   bool bootstrap_secondaries = false;
   if (config_.durable_log && !config_.data_dir.empty()) {
     wal::DurableLog::Options lopts;
@@ -436,8 +475,8 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
     } else {
       durable_log_ = std::move(state->durable);
       restore_report_ = state->report;
-      // Seed the propagator at the restored log's end: the fleet is built
-      // fresh below from a checkpoint of the restored state, so nothing
+      // Seed the propagator at the restored log's end: the fleet is copied
+      // below from a pin of the restored state, so nothing
       // needs the suffix re-broadcast, and the stream numbering continues
       // exactly where the pre-restart primary's left off.
       const std::size_t end_lsn = primary_db_.log()->Size();
@@ -450,8 +489,8 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
       }
       primary_.propagator()->SeedForRecovery(end_lsn, end_seq);
       if (state->had_state) {
-        boot_cp = primary_db_.TakeCheckpoint();
-        bootstrap_secondaries = boot_cp.lsn > 0;
+        boot_pin = primary_db_.PinCheckpoint();
+        bootstrap_secondaries = boot_pin.lsn > 0;
       }
       engine::Checkpointer::Options copts;
       copts.data_dir = config_.data_dir;
@@ -470,38 +509,19 @@ ReplicatedSystem::ReplicatedSystem(SystemConfig config)
     site->db = std::make_unique<engine::Database>(engine::DatabaseOptions{
         static_cast<SiteId>(i + 1), "secondary-" + std::to_string(i),
         config_.record_state_chain});
-    // A restored primary starts ahead of the empty fleet: initialize each
-    // secondary from a checkpoint of the restored state, exactly like
-    // RecoverSecondary does after a crash (Section 3.4).
-    Timestamp boot_local = kInvalidTimestamp;
-    if (bootstrap_secondaries) {
-      engine::Database::Checkpoint cp = boot_cp;
-      const replication::SinkFilter filter = FilterFor(i);
-      if (filter.active()) {
-        for (auto it = cp.state.begin(); it != cp.state.end();) {
-          if (filter.CoversKey(it->first)) {
-            ++it;
-          } else {
-            it = cp.state.erase(it);
-          }
-        }
-      }
-      auto install = site->db->InstallCheckpoint(cp);
-      if (!install.ok()) {
-        LAZYSI_ERROR("secondary " << i << " bootstrap from restored "
-                     << "checkpoint failed: " << install.status());
-      } else {
-        boot_local = *install;
-      }
-    }
     replication::SecondaryOptions sec_opts;
     sec_opts.applicator_threads = config_.applicator_threads;
     sec_opts.direct_apply = config_.direct_apply_refresh;
     sec_opts.decode_threads = config_.decode_threads;
     site->replica = std::make_unique<replication::Secondary>(site->db.get(),
                                                              sec_opts);
-    if (boot_local != kInvalidTimestamp) {
-      site->replica->InitializeSeq(boot_cp.as_of, boot_local);
+    if (bootstrap_secondaries) {
+      const Status copied = CopyState(&primary_db_, boot_pin, FilterFor(i),
+                                      site->replica.get());
+      if (!copied.ok()) {
+        LAZYSI_ERROR("secondary " << i << " bootstrap from the restored "
+                     << "primary failed: " << copied);
+      }
     }
     const bool wan = config_.network_latency.count() > 0 ||
                      config_.network_jitter.count() > 0;
@@ -976,27 +996,16 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
   }
 
   // Fresh copy of the primary database (Section 3.4's periodic quiesced
-  // copy, taken on demand here).
-  engine::Database::Checkpoint checkpoint = primary_db_.TakeCheckpoint();
+  // copy, taken on demand here), pinned until the recovered site is
+  // attached at its LSN.
+  const engine::Database::CheckpointPin pin = primary_db_.PinCheckpoint();
   const replication::SinkFilter filter = FilterFor(i);
-  if (filter.active()) {
-    // A partial replica installs only its covered partitions — uncovered
-    // keys never live here (scans and differential checks rely on that),
-    // and the replayed log suffix is filtered the same way below.
-    for (auto it = checkpoint.state.begin(); it != checkpoint.state.end();) {
-      if (filter.CoversKey(it->first)) {
-        ++it;
-      } else {
-        it = checkpoint.state.erase(it);
-      }
-    }
-  }
 
-  // The checkpoint can be ahead of the propagator by the last few commits;
+  // The pin can be ahead of the propagator by the last few commits;
   // attaching at its LSN needs them consumed first.
   const auto deadline =
       std::chrono::steady_clock::now() + config_.read_block_timeout;
-  while (started_ && primary_.propagator()->position() < checkpoint.lsn) {
+  while (started_ && primary_.propagator()->position() < pin.lsn) {
     if (std::chrono::steady_clock::now() >= deadline) {
       return Status::TimedOut("propagator did not reach the checkpoint");
     }
@@ -1009,19 +1018,14 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
   fresh.db = std::make_unique<engine::Database>(engine::DatabaseOptions{
       static_cast<SiteId>(i + 1), "secondary-" + std::to_string(i) + "-r",
       config_.record_state_chain});
-  auto install = fresh.db->InstallCheckpoint(checkpoint);
-  if (!install.ok()) return install.status();
-
   replication::SecondaryOptions sec_opts;
   sec_opts.applicator_threads = config_.applicator_threads;
   sec_opts.direct_apply = config_.direct_apply_refresh;
   sec_opts.decode_threads = config_.decode_threads;
   fresh.replica =
       std::make_unique<replication::Secondary>(fresh.db.get(), sec_opts);
-  // Dummy-transaction re-seed of seq(DBsec) (Section 4): the checkpoint
-  // corresponds to the primary state checkpoint.as_of.
-  const Timestamp seq = checkpoint.as_of;
-  fresh.replica->InitializeSeq(seq, *install);
+  LAZYSI_RETURN_NOT_OK(
+      CopyState(&primary_db_, pin, filter, fresh.replica.get()));
   fresh.replica->Start();
   const bool wan = config_.network_latency.count() > 0 ||
                    config_.network_jitter.count() > 0;
@@ -1035,13 +1039,13 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
   }
   if (transported()) {
     // The recovered site gets a fresh stream (new listener, new fault
-    // schedule) whose receiver asks for the replay from the checkpoint, so
+    // schedule) whose receiver asks for the replay from the pin's LSN, so
     // the missed log suffix crosses the wire like any other record. The
     // attach runs on the listener's side; wait for it so a refused attach
     // still surfaces here.
     LAZYSI_RETURN_NOT_OK(OpenStream(&fresh, i,
                                     config_.transport_seed + 1000 + i,
-                                    checkpoint.lsn));
+                                    pin.lsn));
     fresh.receiver->Start();
     while (!fresh.receiver->welcomed()) {
       const auto listener_stats = fresh.listener->stats();
@@ -1049,7 +1053,7 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
           0) {
         return Status::FailedPrecondition(
             "propagator refused the replay attach at lsn " +
-            std::to_string(checkpoint.lsn));
+            std::to_string(pin.lsn));
       }
       if (std::chrono::steady_clock::now() >= deadline) {
         return Status::TimedOut("recovered secondary's stream did not attach");
@@ -1059,11 +1063,11 @@ Status ReplicatedSystem::RecoverSecondary(std::size_t i) {
   } else if (wan) {
     LAZYSI_RETURN_NOT_OK(primary_.propagator()
                              ->AttachSinkAt(fresh.channel->inlet(),
-                                            checkpoint.lsn, filter)
+                                            pin.lsn, filter)
                              .status());
   } else {
     LAZYSI_RETURN_NOT_OK(primary_.AttachSecondaryAt(fresh.replica.get(),
-                                                    checkpoint.lsn, filter));
+                                                    pin.lsn, filter));
   }
 
   // Old stream first: its receiver feeds the old replica's queue.

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "checkpoint_rows.h"
 #include "engine/recovery.h"
 
 namespace lazysi {
@@ -119,24 +120,6 @@ TEST(DatabaseTest, StateChainDisabledByOption) {
   EXPECT_NE(db.StateHash(), 0u);  // the running hash still advances
 }
 
-TEST(DatabaseTest, CheckpointRoundTrip) {
-  Database primary;
-  ASSERT_TRUE(primary.Put("a", "1").ok());
-  ASSERT_TRUE(primary.Put("b", "2").ok());
-  auto cp = primary.TakeCheckpoint();
-  EXPECT_EQ(cp.state.size(), 2u);
-  EXPECT_EQ(cp.lsn, primary.log()->Size());
-  EXPECT_EQ(cp.as_of, primary.LatestCommitTs());
-
-  Database restored;
-  auto install_ts = restored.InstallCheckpoint(cp);
-  ASSERT_TRUE(install_ts.ok());
-  EXPECT_EQ(restored.Get("a").value(), "1");
-  EXPECT_EQ(restored.Get("b").value(), "2");
-  EXPECT_EQ(restored.store()->Materialize(*install_ts),
-            primary.store()->Materialize(cp.as_of));
-}
-
 TEST(DatabaseTest, GarbageCollectRespectsActiveSnapshots) {
   Database db;
   ASSERT_TRUE(db.Put("k", "v1").ok());
@@ -177,65 +160,9 @@ TEST(DatabaseTest, TimeTravelReaderPinsHorizon) {
   EXPECT_EQ((*historical)->Get("k").value(), "v1");  // still there
 }
 
-// A checkpoint holds the database state at its as_of even while a writer
-// overwrites and deletes keys and version GC runs without pause: GC must
-// not prune a version the checkpoint has yet to read.
-TEST(DatabaseTest, CheckpointMatchesItsSnapshotUnderConcurrentGc) {
-  constexpr int kKeys = 2048;
-  constexpr int kCommits = 30000;
-  Database db;
-  struct Commit {
-    Timestamp ts;
-    std::string key;
-    std::optional<std::string> value;  // nullopt: deleted
-  };
-  std::vector<Commit> history;  // commit order; one writer
-  history.reserve(kCommits);
-  std::atomic<bool> done{false};
-  std::thread writer([&] {
-    for (int i = 0; i < kCommits; ++i) {
-      const std::string key = "k" + std::to_string(i % kKeys);
-      auto t = db.Begin();
-      std::optional<std::string> value;
-      if (i % 7 == 3) {
-        EXPECT_TRUE(t->Delete(key).ok());
-      } else {
-        value = std::to_string(i);
-        EXPECT_TRUE(t->Put(key, *value).ok());
-      }
-      EXPECT_TRUE(t->Commit().ok());
-      history.push_back(Commit{t->commit_ts(), key, value});
-    }
-    done = true;
-  });
-  std::thread gc([&] {
-    while (!done) db.GarbageCollect();
-  });
-  std::vector<Database::Checkpoint> checkpoints;
-  while (!done) checkpoints.push_back(db.TakeCheckpoint());
-  writer.join();
-  gc.join();
-  ASSERT_FALSE(checkpoints.empty());
-
-  // Replay the history once, comparing each checkpoint (taken in as_of
-  // order) against the model at its as_of.
-  std::map<std::string, storage::Value> model;
-  std::size_t next = 0;
-  for (const Database::Checkpoint& cp : checkpoints) {
-    for (; next < history.size() && history[next].ts <= cp.as_of; ++next) {
-      const Commit& c = history[next];
-      if (c.value) {
-        model[c.key] = *c.value;
-      } else {
-        model.erase(c.key);
-      }
-    }
-    ASSERT_EQ(cp.state, model) << "checkpoint as_of " << cp.as_of;
-  }
-}
-
-// The same race for a checkpoint streamed to disk: the pin must keep GC
-// off its snapshot while the file is written.
+// A checkpoint streamed to disk while a writer commits and GC prunes: the
+// pin must keep GC off its snapshot while the file is written, so every
+// file holds exactly the state at its as_of.
 TEST(DatabaseTest, StreamedCheckpointMatchesItsSnapshotUnderConcurrentGc) {
   constexpr int kKeys = 2048;
   constexpr int kCommits = 30000;
@@ -269,13 +196,13 @@ TEST(DatabaseTest, StreamedCheckpointMatchesItsSnapshotUnderConcurrentGc) {
   std::thread gc([&] {
     while (!done) db.GarbageCollect();
   });
-  std::vector<Database::Checkpoint> checkpoints;
+  std::vector<CheckpointRows> checkpoints;
   bool written = true;
   while (!done && written) {
     Database::CheckpointPin pin = db.PinCheckpoint();
     written = SaveCheckpoint(&db, pin, path).ok();
     pin.txn.reset();
-    auto loaded = LoadCheckpoint(path);
+    auto loaded = ReadCheckpointRows(path);
     written = written && loaded.ok() && loaded->as_of == pin.as_of;
     if (written) checkpoints.push_back(std::move(*loaded));
   }
@@ -287,7 +214,7 @@ TEST(DatabaseTest, StreamedCheckpointMatchesItsSnapshotUnderConcurrentGc) {
 
   std::map<std::string, storage::Value> model;
   std::size_t next = 0;
-  for (const Database::Checkpoint& cp : checkpoints) {
+  for (const CheckpointRows& cp : checkpoints) {
     for (; next < history.size() && history[next].ts <= cp.as_of; ++next) {
       const Commit& c = history[next];
       if (c.value) {
@@ -296,7 +223,7 @@ TEST(DatabaseTest, StreamedCheckpointMatchesItsSnapshotUnderConcurrentGc) {
         model.erase(c.key);
       }
     }
-    ASSERT_EQ(cp.state, model) << "checkpoint as_of " << cp.as_of;
+    ASSERT_EQ(cp.rows, model) << "checkpoint as_of " << cp.as_of;
   }
 }
 

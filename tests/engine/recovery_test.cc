@@ -2,43 +2,66 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
+#include "checkpoint_rows.h"
+#include "common/codec.h"
+#include "common/hash.h"
 #include "common/random.h"
-#include "wal/log_file.h"
+#include "engine/checkpointer.h"
 
 namespace lazysi {
 namespace engine {
 namespace {
 
+/// The records of `db`'s logical log from `from_lsn` on.
+std::vector<wal::LogRecord> LogRecords(Database* db,
+                                       std::size_t from_lsn = 0) {
+  std::vector<wal::LogRecord> records;
+  db->log()->Visit(from_lsn, db->log()->Size(),
+                   [&records](const wal::LogRecord& r) {
+                     records.push_back(r);
+                   });
+  return records;
+}
+
+std::map<std::string, storage::Value> StateOf(Database* db) {
+  std::map<std::string, storage::Value> state;
+  for (const auto& [key, value] :
+       db->store()->Materialize(db->LatestCommitTs())) {
+    state.emplace(key, storage::Value(value));
+  }
+  return state;
+}
+
 class DurableRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     checkpoint_path_ = ::testing::TempDir() + "lazysi_recovery_test.ckpt";
-    log_path_ = ::testing::TempDir() + "lazysi_recovery_test.log";
     std::remove(checkpoint_path_.c_str());
-    std::remove(log_path_.c_str());
   }
-  void TearDown() override {
-    std::remove(checkpoint_path_.c_str());
-    std::remove(log_path_.c_str());
-  }
+  void TearDown() override { std::remove(checkpoint_path_.c_str()); }
   std::string checkpoint_path_;
-  std::string log_path_;
 };
 
 TEST_F(DurableRecoveryTest, CheckpointFileRoundTrip) {
   Database db;
   ASSERT_TRUE(db.Put("a", "1").ok());
   ASSERT_TRUE(db.Put("b", "2").ok());
-  const auto cp = db.TakeCheckpoint();
-  ASSERT_TRUE(SaveCheckpoint(cp, checkpoint_path_).ok());
+  Database::CheckpointPin pin = db.PinCheckpoint();
+  EXPECT_EQ(pin.lsn, db.log()->Size());
+  EXPECT_EQ(pin.as_of, db.LatestCommitTs());
+  ASSERT_TRUE(SaveCheckpoint(&db, pin, checkpoint_path_).ok());
 
-  auto loaded = LoadCheckpoint(checkpoint_path_);
+  auto loaded = ReadCheckpointRows(checkpoint_path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->as_of, cp.as_of);
-  EXPECT_EQ(loaded->lsn, cp.lsn);
-  EXPECT_EQ(loaded->state, cp.state);
+  EXPECT_EQ(loaded->as_of, pin.as_of);
+  EXPECT_EQ(loaded->lsn, pin.lsn);
+  EXPECT_EQ(loaded->rows, StateOf(&db));
 }
 
 // The streamed writer reads the pinned snapshot shard by shard: commits
@@ -52,7 +75,7 @@ TEST_F(DurableRecoveryTest, StreamedCheckpointHoldsItsPinnedSnapshot) {
   }
   ASSERT_TRUE(db.Delete("k7").ok());
   ASSERT_TRUE(db.Put("k8", "overwritten").ok());
-  const auto expected = db.TakeCheckpoint();
+  const auto expected = StateOf(&db);
 
   Database::CheckpointPin pin = db.PinCheckpoint();
   ASSERT_TRUE(db.Put("k9", "after the pin").ok());
@@ -60,39 +83,111 @@ TEST_F(DurableRecoveryTest, StreamedCheckpointHoldsItsPinnedSnapshot) {
   ASSERT_TRUE(db.Put("new", "after the pin").ok());
   db.GarbageCollect();
   ASSERT_TRUE(SaveCheckpoint(&db, pin, checkpoint_path_).ok());
+  const Database::CheckpointPin saved{pin.as_of, pin.lsn, nullptr};
   pin.txn.reset();
 
-  auto loaded = LoadCheckpoint(checkpoint_path_);
+  auto loaded = ReadCheckpointRows(checkpoint_path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->as_of, expected.as_of);
-  EXPECT_EQ(loaded->lsn, expected.lsn);
-  EXPECT_EQ(loaded->state, expected.state);
-  EXPECT_EQ(loaded->state.size(), 999u);
+  EXPECT_EQ(loaded->as_of, saved.as_of);
+  EXPECT_EQ(loaded->lsn, saved.lsn);
+  EXPECT_EQ(loaded->rows, expected);
+  EXPECT_EQ(loaded->rows.size(), 999u);
 }
 
+// A checkpoint that fails any check — a flipped byte, a file cut short, an
+// older format — fails OpenDataDir before a single row is installed: a site
+// that goes on without durability must not keep a partial state.
 TEST_F(DurableRecoveryTest, LoadRejectsCorruptCheckpoint) {
-  Database db;
-  ASSERT_TRUE(db.Put("a", "1").ok());
-  ASSERT_TRUE(SaveCheckpoint(db.TakeCheckpoint(), checkpoint_path_).ok());
-  std::FILE* f = std::fopen(checkpoint_path_.c_str(), "r+b");
-  std::fseek(f, 10, SEEK_SET);
-  std::fputc('X', f);
-  std::fclose(f);
-  EXPECT_FALSE(LoadCheckpoint(checkpoint_path_).ok());
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "lazysi_corrupt_ckpt";
+  fs::remove_all(dir);
+  fs::path checkpoint;
+  {
+    Database db;
+    auto state = OpenDataDir(&db, dir.string(), wal::DurableLog::Options());
+    ASSERT_TRUE(state.ok()) << state.status();
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_TRUE(db.Put("k" + std::to_string(i), std::string(1024, 'v')).ok());
+    }
+    Checkpointer::Options copts;
+    copts.data_dir = dir.string();
+    Checkpointer checkpointer(&db, state->durable.get(), copts);
+    ASSERT_TRUE(checkpointer.CheckpointNow().ok());
+    state->durable->Close();
+    checkpoint =
+        dir / ("checkpoint-" + std::to_string(checkpointer.last_checkpoint_lsn()));
+  }
+  std::string pristine;
+  {
+    std::ifstream in(checkpoint, std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(pristine.size(), 400u * 1024);
+  {
+    // The intact file restores.
+    Database db;
+    auto state = OpenDataDir(&db, dir.string(), wal::DurableLog::Options());
+    ASSERT_TRUE(state.ok()) << state.status();
+    EXPECT_NE(db.ContentHash(), 0u);
+    state->durable->Close();
+  }
+
+  std::string flipped_header = pristine;
+  flipped_header[10] ^= 'X';
+  std::string flipped_middle = pristine;
+  flipped_middle[pristine.size() / 2] ^= 0x01;
+  const std::string cut = pristine.substr(0, pristine.size() / 2);
+  // The same state in the previous format: magic "LZSICKP1", then as_of,
+  // lsn, a row count and the rows, then an FNV-1a 64 of that payload.
+  std::string old_format = "LZSICKP1";
+  {
+    std::string payload;
+    codec::PutVarint(&payload, 1);
+    codec::PutVarint(&payload, 1);
+    codec::PutVarint(&payload, 1);
+    codec::PutString(&payload, "k0");
+    codec::PutString(&payload, "v");
+    old_format += payload;
+    const std::uint64_t hash = Fnv1a64(payload);
+    for (int i = 0; i < 8; ++i) {
+      old_format.push_back(static_cast<char>((hash >> (8 * i)) & 0xff));
+    }
+  }
+  const std::pair<const char*, const std::string*> damaged[] = {
+      {"flipped header byte", &flipped_header},
+      {"flipped byte mid-file", &flipped_middle},
+      {"cut mid-chunk", &cut},
+      {"old format", &old_format}};
+  for (const auto& [name, file] : damaged) {
+    SCOPED_TRACE(name);
+    {
+      std::ofstream out(checkpoint, std::ios::binary | std::ios::trunc);
+      out << *file;
+    }
+    Database db;
+    const Timestamp latest = db.LatestCommitTs();
+    auto state = OpenDataDir(&db, dir.string(), wal::DurableLog::Options());
+    EXPECT_FALSE(state.ok());
+    EXPECT_EQ(db.ContentHash(), 0u);
+    EXPECT_EQ(db.LatestCommitTs(), latest);
+  }
+  fs::remove_all(dir);
 }
 
 TEST_F(DurableRecoveryTest, ReplayRestoresExactState) {
   Database original;
   Rng rng(404);
-  // Phase 1: workload, then a quiesced checkpoint.
+  // Phase 1: workload, then a checkpoint.
   for (int i = 0; i < 50; ++i) {
     auto t = original.Begin();
     ASSERT_TRUE(t->Put("k" + std::to_string(rng.Next(20)),
                        std::to_string(i)).ok());
     ASSERT_TRUE(t->Commit().ok());
   }
-  const auto cp = original.TakeCheckpoint();
-  ASSERT_TRUE(SaveCheckpoint(cp, checkpoint_path_).ok());
+  Database::CheckpointPin pin = original.PinCheckpoint();
+  ASSERT_TRUE(SaveCheckpoint(&original, pin, checkpoint_path_).ok());
+  const std::size_t checkpoint_lsn = pin.lsn;
+  pin.txn.reset();
 
   // Phase 2: more workload — puts, deletes, multi-key txns, aborts.
   for (int i = 0; i < 50; ++i) {
@@ -110,98 +205,23 @@ TEST_F(DurableRecoveryTest, ReplayRestoresExactState) {
       ASSERT_TRUE(t->Commit().ok());
     }
   }
-  ASSERT_TRUE(wal::LogFile::Write(*original.log(), log_path_, cp.lsn).ok());
 
-  // "Crash" and restore: checkpoint + log suffix replay.
+  // "Crash" and restore: install the checkpoint, then replay the log
+  // suffix after it.
   Database restored;
-  auto loaded = LoadCheckpoint(checkpoint_path_);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_TRUE(restored.InstallCheckpoint(*loaded).ok());
-  auto records = wal::LogFile::Read(log_path_);
-  ASSERT_TRUE(records.ok());
-  auto applied = ReplayLog(&restored, *records);
+  auto checkpoint = CheckpointReader::Open(checkpoint_path_);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status();
+  ASSERT_TRUE(restored
+                  .RestoreFromDurable(checkpoint->get(), {}, checkpoint_lsn,
+                                      nullptr)
+                  .ok());
+  auto applied =
+      ReplayLog(&restored, LogRecords(&original, checkpoint_lsn));
   ASSERT_TRUE(applied.ok()) << applied.status();
   EXPECT_GT(*applied, 0u);
 
   EXPECT_EQ(restored.store()->Materialize(restored.LatestCommitTs()),
             original.store()->Materialize(original.LatestCommitTs()));
-}
-
-TEST_F(DurableRecoveryTest, GroupApplyReplayMatchesLegacy) {
-  // Differential check of the two replay engines: the group-apply path
-  // (externally-ordered commits + ApplyBatch store passes) must restore the
-  // same state-hash chain and materialized state as the legacy
-  // one-transaction-per-commit path.
-  Database original;
-  Rng rng(1717);
-  for (int i = 0; i < 120; ++i) {
-    auto t = original.Begin();
-    const std::string key = "k" + std::to_string(rng.Next(25));
-    if (rng.Bernoulli(0.2)) {
-      ASSERT_TRUE(t->Delete(key).ok());
-    } else {
-      ASSERT_TRUE(t->Put(key, "v" + std::to_string(i)).ok());
-      if (rng.Bernoulli(0.5)) {
-        ASSERT_TRUE(t->Put("multi/" + std::to_string(i % 9), "m").ok());
-      }
-    }
-    if (rng.Bernoulli(0.15)) {
-      t->Abort();
-    } else {
-      ASSERT_TRUE(t->Commit().ok());
-    }
-    if (i % 10 == 0) {
-      // Interleaved disjoint-key transactions committed in reverse begin
-      // order: their start/commit records interleave in the log, exercising
-      // the group engine's out-of-order chain splicing.
-      auto a = original.Begin();
-      auto b = original.Begin();
-      ASSERT_TRUE(a->Put("pair/a" + std::to_string(i), "pa").ok());
-      ASSERT_TRUE(b->Put("pair/b" + std::to_string(i), "pb").ok());
-      ASSERT_TRUE(b->Commit().ok());
-      ASSERT_TRUE(a->Commit().ok());
-    }
-  }
-  ASSERT_TRUE(wal::LogFile::Write(*original.log(), log_path_).ok());
-  auto records = wal::LogFile::Read(log_path_);
-  ASSERT_TRUE(records.ok());
-
-  Database legacy;
-  auto n_legacy = ReplayLog(&legacy, *records);
-  ASSERT_TRUE(n_legacy.ok()) << n_legacy.status();
-
-  Database grouped;
-  ReplayOptions opts;
-  opts.group_apply = true;
-  opts.group_limit = 8;
-  auto n_grouped = ReplayLog(&grouped, *records, opts);
-  ASSERT_TRUE(n_grouped.ok()) << n_grouped.status();
-
-  EXPECT_EQ(*n_legacy, *n_grouped);
-  // Same write sets installed in the same commit order -> identical chains
-  // (the executable form of Theorem 3.1) and identical state.
-  EXPECT_EQ(legacy.StateHash(), grouped.StateHash());
-  EXPECT_EQ(grouped.store()->Materialize(grouped.LatestCommitTs()),
-            legacy.store()->Materialize(legacy.LatestCommitTs()));
-  EXPECT_EQ(grouped.store()->Materialize(grouped.LatestCommitTs()),
-            original.store()->Materialize(original.LatestCommitTs()));
-}
-
-TEST_F(DurableRecoveryTest, GroupApplyRejectsNonQuiescedSegment) {
-  Database db;
-  auto t = db.Begin();
-  ASSERT_TRUE(t->Put("a", "1").ok());
-  const std::size_t mid = db.log()->Size();
-  ASSERT_TRUE(t->Commit().ok());
-  ASSERT_TRUE(wal::LogFile::Write(*db.log(), log_path_, mid).ok());
-  auto records = wal::LogFile::Read(log_path_);
-  ASSERT_TRUE(records.ok());
-  Database restored;
-  ReplayOptions opts;
-  opts.group_apply = true;
-  auto applied = ReplayLog(&restored, *records, opts);
-  EXPECT_FALSE(applied.ok());
-  EXPECT_EQ(applied.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(DurableRecoveryTest, ReplayRejectsNonQuiescedSegment) {
@@ -210,11 +230,8 @@ TEST_F(DurableRecoveryTest, ReplayRejectsNonQuiescedSegment) {
   ASSERT_TRUE(t->Put("a", "1").ok());
   const std::size_t mid = db.log()->Size();  // start+update already logged
   ASSERT_TRUE(t->Commit().ok());
-  ASSERT_TRUE(wal::LogFile::Write(*db.log(), log_path_, mid).ok());
-  auto records = wal::LogFile::Read(log_path_);
-  ASSERT_TRUE(records.ok());
   Database restored;
-  auto applied = ReplayLog(&restored, *records);
+  auto applied = ReplayLog(&restored, LogRecords(&db, mid));
   EXPECT_FALSE(applied.ok());
   EXPECT_EQ(applied.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -225,11 +242,8 @@ TEST_F(DurableRecoveryTest, ReplaySkipsAbortedTransactions) {
   ASSERT_TRUE(t->Put("gone", "x").ok());
   t->Abort();
   ASSERT_TRUE(db.Put("kept", "y").ok());
-  ASSERT_TRUE(wal::LogFile::Write(*db.log(), log_path_).ok());
-  auto records = wal::LogFile::Read(log_path_);
-  ASSERT_TRUE(records.ok());
   Database restored;
-  auto applied = ReplayLog(&restored, *records);
+  auto applied = ReplayLog(&restored, LogRecords(&db));
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(*applied, 1u);
   EXPECT_TRUE(restored.Get("gone").status().IsNotFound());

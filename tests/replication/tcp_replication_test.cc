@@ -14,6 +14,7 @@
 
 #include "common/random.h"
 #include "engine/database.h"
+#include "engine/recovery.h"
 #include "net/event_loop.h"
 #include "replication/primary.h"
 #include "replication/secondary.h"
@@ -183,24 +184,36 @@ TEST(TcpReplicationTest, FreshReceiverFromCheckpointStartsAtWelcomeBase) {
   // base instead of taking that record for a gap and redialing forever.
   PrimaryProc primary;
   primary.PutN(30, "v1");
-  const auto checkpoint = primary.db.TakeCheckpoint();
-  ASSERT_GT(checkpoint.lsn, 0u);
+  const engine::Database::CheckpointPin pin = primary.db.PinCheckpoint();
+  ASSERT_GT(pin.lsn, 0u);
   const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (primary.primary.propagator()->position() < checkpoint.lsn) {
+  while (primary.primary.propagator()->position() < pin.lsn) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
     std::this_thread::sleep_for(1ms);
   }
   const Timestamp last = primary.PutN(30, "v2");
 
+  // The secondary is built from the pinned state through the snapshot
+  // codec, as a rejoining or recovered secondary is.
   engine::Database db(engine::DatabaseOptions{1, "recovered"});
-  auto installed = db.InstallCheckpoint(checkpoint);
-  ASSERT_TRUE(installed.ok()) << installed.status();
   Secondary secondary(&db);
-  secondary.InitializeSeq(checkpoint.as_of, *installed);
+  auto copied = engine::EncodeSnapshotChunks(
+      &primary.db, pin, 1 << 16, nullptr, [&secondary](std::string chunk) {
+        std::size_t offset = 0;
+        EXPECT_TRUE(engine::DecodeSnapshotChunk(
+            chunk, &offset,
+            [&secondary](std::string_view key, std::string_view value) {
+              secondary.StageSnapshotRow(std::string(key),
+                                         storage::Value(value));
+            }));
+        return Status::OK();
+      });
+  ASSERT_TRUE(copied.ok()) << copied.status();
+  ASSERT_TRUE(secondary.CommitSnapshot(pin.as_of).ok());
   secondary.Start();
   ReplicationReceiver::Options o;
   o.primary_port = primary.listener.port();
-  o.from_lsn = checkpoint.lsn;
+  o.from_lsn = pin.lsn;
   ReplicationReceiver receiver(secondary.update_queue(), o);
   receiver.Start();
 

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <map>
 
 #include "common/random.h"
+#include "engine/database.h"
+#include "engine/recovery.h"
 #include "net/framed_socket.h"
 #include "replication/tcp_replication.h"
 #include "replication/wire.h"
@@ -411,38 +415,68 @@ TEST(WireFuzzTest, BatchFrameAnySingleFlippedByteIsRejected) {
   EXPECT_EQ(records.size(), 6u);
 }
 
-std::vector<SnapshotRow> RandomRows(Rng* rng, int n) {
-  std::vector<SnapshotRow> rows;
+using Rows = std::map<std::string, std::string>;
+
+Rows RandomRows(Rng* rng, int n) {
+  Rows rows;
   for (int i = 0; i < n; ++i) {
-    rows.emplace_back("k" + std::to_string(rng->Next(1 << 16)),
-                      std::string(rng->Next(48), 'v'));
+    rows.emplace("k" + std::to_string(i) + "/" +
+                     std::to_string(rng->Next(1 << 16)),
+                 std::string(rng->Next(48), 'v'));
   }
   return rows;
 }
 
+/// A SNAPSHOT frame payload at `as_of` carrying `rows` in one chunk, encoded
+/// by the snapshot chunk encoder the listener streams with.
+std::string SnapshotPayload(Timestamp as_of, const Rows& rows) {
+  engine::DatabaseOptions options;
+  options.store_shards = 1;  // one shard: one chunk
+  engine::Database db(options);
+  for (const auto& [key, value] : rows) EXPECT_TRUE(db.Put(key, value).ok());
+  const engine::Database::CheckpointPin pin = db.PinCheckpoint();
+  std::string payload(1, kReplSnapshotTag);
+  PutVarint(&payload, as_of);
+  const auto encoded = engine::EncodeSnapshotChunks(
+      &db, pin, SIZE_MAX, nullptr, [&payload](std::string chunk) {
+        payload += chunk;
+        return Status::OK();
+      });
+  EXPECT_TRUE(encoded.ok());
+  return payload;
+}
+
+/// Decodes a SNAPSHOT frame payload into *rows.
+bool DecodeSnapshot(const std::string& payload, std::size_t* offset,
+                    Timestamp* as_of, Rows* rows) {
+  return DecodeSnapshotFramePayload(
+      payload, offset, as_of,
+      [rows](std::string_view key, std::string_view value) {
+        (*rows)[std::string(key)] = std::string(value);
+      });
+}
+
 TEST(WireFuzzTest, SnapshotFrameRoundTrips) {
   Rng rng(9101);
-  const auto rows = RandomRows(&rng, 20);
-  const std::string payload = EncodeSnapshotFramePayload(77, rows);
+  const Rows rows = RandomRows(&rng, 20);
+  const std::string payload = SnapshotPayload(77, rows);
   std::size_t offset = 0;
   Timestamp as_of = 0;
-  std::vector<SnapshotRow> decoded;
-  ASSERT_TRUE(DecodeSnapshotFramePayload(payload, &offset, &as_of, &decoded));
+  Rows decoded;
+  ASSERT_TRUE(DecodeSnapshot(payload, &offset, &as_of, &decoded));
   EXPECT_EQ(as_of, 77u);
   EXPECT_EQ(decoded, rows);
   // Every proper prefix is rejected, and so are trailing bytes.
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
     std::size_t off = 0;
-    std::vector<SnapshotRow> out;
-    EXPECT_FALSE(DecodeSnapshotFramePayload(payload.substr(0, cut), &off,
-                                            &as_of, &out))
+    Rows out;
+    EXPECT_FALSE(DecodeSnapshot(payload.substr(0, cut), &off, &as_of, &out))
         << "prefix " << cut;
     EXPECT_LE(off, cut);
   }
   std::size_t off = 0;
-  std::vector<SnapshotRow> out;
-  EXPECT_FALSE(
-      DecodeSnapshotFramePayload(payload + "x", &off, &as_of, &out));
+  Rows out;
+  EXPECT_FALSE(DecodeSnapshot(payload + "x", &off, &as_of, &out));
 }
 
 TEST(WireFuzzTest, SnapshotFrameAnySingleFlippedByteIsRejected) {
@@ -451,7 +485,7 @@ TEST(WireFuzzTest, SnapshotFrameAnySingleFlippedByteIsRejected) {
   // each byte of a sealed SNAPSHOT frame on the wire, length prefix and
   // trailer included.
   Rng rng(9102);
-  std::string payload = EncodeSnapshotFramePayload(1234, RandomRows(&rng, 8));
+  std::string payload = SnapshotPayload(1234, RandomRows(&rng, 8));
   SealReplFrame(&payload);
   std::string wire;
   net::AppendTcpFrame(&wire, payload);
@@ -469,15 +503,14 @@ TEST(WireFuzzTest, SnapshotFrameAnySingleFlippedByteIsRejected) {
   ASSERT_TRUE(UnsealReplFrame(&intact));
   std::size_t offset = 0;
   Timestamp as_of = 0;
-  std::vector<SnapshotRow> rows;
-  EXPECT_TRUE(DecodeSnapshotFramePayload(intact, &offset, &as_of, &rows));
+  Rows rows;
+  EXPECT_TRUE(DecodeSnapshot(intact, &offset, &as_of, &rows));
   EXPECT_EQ(rows.size(), 8u);
 }
 
 TEST(WireFuzzTest, SnapshotFrameMutationsNeverCrashOrOverread) {
   Rng rng(9103);
-  const std::string payload =
-      EncodeSnapshotFramePayload(5, RandomRows(&rng, 12));
+  const std::string payload = SnapshotPayload(5, RandomRows(&rng, 12));
   for (int round = 0; round < 2000; ++round) {
     std::string damaged = payload;
     const int flips = 1 + static_cast<int>(rng.Next(4));
@@ -487,8 +520,8 @@ TEST(WireFuzzTest, SnapshotFrameMutationsNeverCrashOrOverread) {
     }
     std::size_t offset = 0;
     Timestamp as_of = 0;
-    std::vector<SnapshotRow> rows;
-    if (!DecodeSnapshotFramePayload(damaged, &offset, &as_of, &rows)) {
+    Rows rows;
+    if (!DecodeSnapshot(damaged, &offset, &as_of, &rows)) {
       EXPECT_LE(offset, damaged.size());
     }
   }

@@ -216,21 +216,41 @@ TEST_F(TxnManagerTest, ConcurrentReadersAcrossBankGrowth) {
     auto t = manager_.Begin();
     return t->Put("k", "0").ok() && t->Commit().ok();
   }());
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    for (int i = 1; !stop.load(std::memory_order_acquire); ++i) {
-      auto t = manager_.Begin();
-      ASSERT_TRUE(t->Put("k", std::to_string(i)).ok());
-      ASSERT_TRUE(t->Commit().ok());
-    }
-  });
   constexpr int kReaderThreads = 4;
   constexpr int kIterations = 50;
   constexpr int kClump = 80;  // 4 x 80 held at once > one 256-slot bank
+  // The writer runs at most this many commits ahead per reader clump, so
+  // the version chain the readers walk stays bounded however the threads
+  // are scheduled (nothing prunes it).
+  constexpr int kCommitsPerClump = 4;
   std::atomic<int> claimed{0};
+  // Set by a reader that returns early (a failed ASSERT): the others stop
+  // waiting for it at the rendezvous.
+  std::atomic<bool> reader_failed{false};
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int i = 1; !stop.load(std::memory_order_acquire);) {
+      if (i > kCommitsPerClump *
+                  (claimed.load(std::memory_order_acquire) + 1)) {
+        std::this_thread::yield();
+        continue;
+      }
+      auto t = manager_.Begin();
+      ASSERT_TRUE(t->Put("k", std::to_string(i++)).ok());
+      ASSERT_TRUE(t->Commit().ok());
+    }
+  });
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaderThreads; ++r) {
     readers.emplace_back([&] {
+      bool finished = false;
+      struct FlagEarlyReturn {
+        const bool& finished;
+        std::atomic<bool>& failed;
+        ~FlagEarlyReturn() {
+          if (!finished) failed.store(true, std::memory_order_release);
+        }
+      } flag_early_return{finished, reader_failed};
       for (int i = 0; i < kIterations; ++i) {
         // Hold a clump of concurrent snapshots, then rendezvous so all
         // threads' clumps are live at once — the claim count must cross a
@@ -241,7 +261,8 @@ TEST_F(TxnManagerTest, ConcurrentReadersAcrossBankGrowth) {
         }
         claimed.fetch_add(1, std::memory_order_acq_rel);
         while (claimed.load(std::memory_order_acquire) <
-               kReaderThreads * (i + 1)) {
+                   kReaderThreads * (i + 1) &&
+               !reader_failed.load(std::memory_order_acquire)) {
           std::this_thread::yield();
         }
         for (auto& t : held) {
@@ -253,6 +274,7 @@ TEST_F(TxnManagerTest, ConcurrentReadersAcrossBankGrowth) {
           ASSERT_TRUE(t->Commit().ok());
         }
       }
+      finished = true;
     });
   }
   for (auto& t : readers) t.join();
