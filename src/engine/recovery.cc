@@ -189,12 +189,8 @@ Status CheckpointReader::ForEachChunk(
   return Status::OK();
 }
 
-namespace {
-
-}  // namespace
-
-Result<std::size_t> ReplayLog(
-    Database* db, const std::vector<wal::LogRecord>& records) {
+Result<std::size_t> ReplayLog(Database* db,
+                              const std::vector<wal::LogRecord>& records) {
   // Rebuild per-transaction update lists exactly like the propagator
   // (Algorithm 3.1), then apply each committed transaction in log order.
   std::map<TxnId, std::vector<storage::Write>> lists;
